@@ -35,6 +35,7 @@
  *   --retain-bytes B   byte bound on retained result documents
  *                      (0 = unbounded)                   [256M]
  *   --batched          config-batched replay inside sweeps
+ *                      (perfbench/run.py starts the daemon with it)
  *   --no-simd          force the scalar replay kernels (the
  *                      active dispatch shows on /metrics as the
  *                      sweep.simd.<name> info gauge)

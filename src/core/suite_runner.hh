@@ -236,6 +236,9 @@ struct SuiteResult
  * If @p cancel is given it is polled between program replays;
  * cancellation throws CancelledError, bounding the abort latency of
  * a multi-program job to roughly one replay.
+ *
+ * perfbench/ledger_wrap.cpp --wraps this exact mangled signature:
+ * changing a parameter breaks the benchmark build.
  */
 SuiteResult runSuite(const SimConfig &cfg, TraceCache &traces,
                      const std::vector<std::string> &names = {},

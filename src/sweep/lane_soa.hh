@@ -356,7 +356,9 @@ constexpr unsigned numSoaFallbackReasons = 9;
 /** Stable metric-name suffix for @p reason ("finite_icache", ...). */
 const char *soaFallbackName(SoaFallback reason);
 
-/** Why (or that) @p cfg takes the path it does under @p kind. */
+/** Why (or that) @p cfg takes the path it does under @p kind.
+ *  perfbench/probe.cpp requires sweep_realism's lanes to stay on the
+ *  BtbTarget and FiniteICache reasons (0 permille SoA coverage). */
 SoaFallback laneSoaFallback(BatchEngineKind kind,
                             const FetchEngineConfig &cfg);
 

@@ -12,7 +12,7 @@
  * Both emitters visit jobs in deterministic job order and, by
  * default, exclude timing data, so the bytes a sweep produces are
  * identical regardless of thread count -- the property the
- * determinism tests and perf_sweep assert.
+ * determinism tests assert.
  */
 
 #ifndef MBBP_SWEEP_SWEEP_REPORT_HH

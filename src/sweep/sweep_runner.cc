@@ -122,7 +122,7 @@ runSweepJobs(const std::vector<SweepJob> &jobs, TraceCache &traces,
             SweepJobResult &slot = result.jobs[i];
             slot.job = jobs[i];
             slot.result = runSuite(jobs[i].config, traces, benchmarks,
-                                   opts.sharedDecode, &opts.cancel);
+                                   /*shared_decode=*/true, &opts.cancel);
             slot.seconds = secondsSince(job_start);
             std::lock_guard<std::mutex> lock(progress_mutex);
             finishJob(i, slot.seconds);
@@ -228,18 +228,10 @@ runSweepJobs(const std::vector<SweepJob> &jobs, TraceCache &traces,
                 Clock::time_point t0 = Clock::now();
                 const ICacheConfig &geom =
                     tile.configs[0].engine.icache;
-                std::vector<FetchStats> lane_stats;
-                if (opts.sharedDecode) {
-                    lane_stats =
-                        batchReplay(tile.configs,
-                                    *traces.decoded(name, geom),
-                                    opts.batchTile);
-                } else {
-                    DecodedTrace dec =
-                        DecodedTrace::build(traces.get(name), geom);
-                    lane_stats = batchReplay(tile.configs, dec,
-                                             opts.batchTile);
-                }
+                std::vector<FetchStats> lane_stats =
+                    batchReplay(tile.configs,
+                                *traces.decoded(name, geom),
+                                opts.batchTile);
                 double secs = secondsSince(t0);
 
                 std::lock_guard<std::mutex> lock(progress_mutex);

@@ -44,20 +44,13 @@ struct SweepOptions
     unsigned threads = 0;           //!< 0 = ThreadPool default
 
     /**
-     * Replay the TraceCache's shared DecodedTrace artifacts (decode
-     * once per (trace, geometry), share read-only across workers).
-     * False decodes privately inside every job -- same results,
-     * pre-artifact wall clock. Benchmarking knob; leave on.
-     */
-    bool sharedDecode = true;
-
-    /**
      * Group compatible sweep points (same BatchKey: engine kind +
      * full i-cache geometry) and advance each group in lockstep
      * through one trace pass per cache-budgeted tile, instead of
      * replaying the trace once per job (see sweep/batch_replay.hh).
      * Results are field-exact versus the per-config path; jobs whose
      * key matches no other job fall back to that path automatically.
+     * perfbench/probe.cpp sets this field by name.
      */
     bool batchedReplay = false;
 

@@ -386,11 +386,23 @@ saveDecodedArtifact(const std::string &path, const ArtifactKey &key,
     hdr.sizeofBitCode = sizeof(BitCode);
     hdr.numSections = static_cast<uint32_t>(cols.size());
 
-    const std::string tmp = path + ".tmp";
+    // A temp name of this writer's own, in the target's directory:
+    // concurrent savers of one key (two daemons sharing an artifact
+    // dir) must not truncate or remove each other's half-written
+    // file, and the rename must stay a same-filesystem replace.
+    std::string tmp = path + ".tmp.XXXXXX";
+    int fd = ::mkstemp(tmp.data());
+    if (fd < 0) {
+        mbbp_warn("artifact: cannot create a temp file for ", path);
+        return false;
+    }
+    ::fchmod(fd, 0644);     // mkstemp's 0600 would hide it from peers
+    ::close(fd);
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) {
             mbbp_warn("artifact: cannot write ", tmp);
+            std::remove(tmp.c_str());
             return false;
         }
         out.write(reinterpret_cast<const char *>(&hdr), sizeof(hdr));

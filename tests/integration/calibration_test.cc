@@ -22,6 +22,14 @@ struct Band
     double hi;
 };
 
+// Print the name, not gtest's default byte dump: that holds the
+// string's address, so the test's name would change every run.
+void
+PrintTo(const Band &b, std::ostream *os)
+{
+    *os << b.name;
+}
+
 class AccuracyBands : public ::testing::TestWithParam<Band>
 {
 };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mbbp.hh"
+#include "temp_path.hh"
 
 namespace mbbp
 {
@@ -154,7 +155,7 @@ TEST_F(EndToEnd, TraceFileRoundTripGivesIdenticalResults)
     // The binary trace format is a faithful transport: running the
     // simulator on a re-read trace reproduces every metric.
     const InMemoryTrace &orig = traces().get("perl");
-    std::string path = ::testing::TempDir() + "mbbp_e2e_trace.bin";
+    std::string path = testTempPath("mbbp_e2e_trace", ".bin");
     {
         TraceFileWriter w(path);
         w.writeAll(orig);

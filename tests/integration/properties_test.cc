@@ -29,6 +29,14 @@ struct SweepParam
     std::size_t icache_lines = 0;
 };
 
+// Print the label, not gtest's default byte dump: that holds the
+// address of each string, so the test's name would change every run.
+void
+PrintTo(const SweepParam &p, std::ostream *os)
+{
+    *os << p.label;
+}
+
 class EngineSweep : public ::testing::TestWithParam<SweepParam>
 {
   protected:

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.hh"
 #include "util/json.hh"
 
 namespace mbbp
@@ -207,8 +208,7 @@ TEST_F(Obs, ChromeTraceFileRoundTripsThroughTheParser)
         obs::ScopedTimer c(t, "quoted \"name\" {with, commas}");
     }
 
-    std::string path =
-        ::testing::TempDir() + "mbbp_obs_trace_roundtrip.json";
+    std::string path = testTempPath("mbbp_obs_trace_roundtrip", ".json");
     obs::writeChromeTrace(path);
 
     std::ifstream in(path, std::ios::binary);

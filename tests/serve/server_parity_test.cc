@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "serve/server.hh"
 #include "sweep/sweep_report.hh"
 #include "sweep/sweep_runner.hh"
+#include "temp_path.hh"
 #include "util/json.hh"
 
 using namespace mbbp;
@@ -90,7 +92,7 @@ TEST(SweepServerTest, RestartReusesArtifactStoreWithIdenticalBytes)
     // observability is on (the daemon always enables it).
     obs::setEnabled(true);
 
-    std::string dir = ::testing::TempDir() + "mbbp_server_arts";
+    std::string dir = testTempPath("mbbp_server_arts");
     std::string first;
     {
         ServerConfig cfg = testConfig();
@@ -124,6 +126,7 @@ TEST(SweepServerTest, RestartReusesArtifactStoreWithIdenticalBytes)
         EXPECT_NE(metrics.find("artifact.store.hits"),
                   std::string::npos);
     }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepServerTest, TruncatedJsonBodyIsTypedBadSpec)

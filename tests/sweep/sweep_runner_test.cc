@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/bench_diff.hh"
 #include "obs/obs.hh"
 #include "sweep/sweep_report.hh"
 #include "util/json.hh"
@@ -69,33 +68,60 @@ TEST(SweepRunner, ReportsAreByteIdenticalAcrossThreadCounts)
 
 TEST(SweepRunner, BatchedReplayReportsAreByteIdentical)
 {
-    // Three engine kinds x two history depths: the batched schedule
-    // folds each kind's pair of jobs into one lockstep tile, and the
-    // reports must come out byte-identical to the per-config path --
-    // at one thread and at eight.
+    // Each shape's per-config 1-thread report is the reference: the
+    // per-config path at eight threads and the batched path at one
+    // and eight must match it byte for byte, with or without the
+    // metrics layer collecting.
     TraceCache traces(kInsts);
-    SweepSpec spec;
-    spec.setName("batched-equivalence");
-    spec.setBenchmarks({ "gcc", "compress", "swim" });
-    spec.addAxis("numBlocks", { "1", "2", "4" });
-    spec.addAxis("historyBits", { "6", "8" });
-
     SweepOptions plain;
     plain.threads = 1;
-    SweepResult ref = runSweep(spec, traces, plain);
-
+    SweepOptions plain8 = plain;
+    plain8.threads = 8;
     SweepOptions batched1 = plain;
     batched1.batchedReplay = true;
     SweepOptions batched8 = batched1;
     batched8.threads = 8;
 
-    SweepResult b1 = runSweep(spec, traces, batched1);
-    SweepResult b8 = runSweep(spec, traces, batched8);
+    auto expectIdentical = [&](const SweepSpec &spec, bool metrics) {
+        SCOPED_TRACE(spec.name() + (metrics ? " +metrics" : ""));
+        SweepResult ref = runSweep(spec, traces, plain);
+        obs::setEnabled(metrics);
+        for (const SweepOptions &opts : { plain8, batched1, batched8 }) {
+            SweepResult r = runSweep(spec, traces, opts);
+            EXPECT_EQ(sweepToJson(ref), sweepToJson(r));
+            EXPECT_EQ(sweepToCsv(ref), sweepToCsv(r));
+        }
+        obs::setEnabled(false);
+    };
 
-    EXPECT_EQ(sweepToJson(ref), sweepToJson(b1));
-    EXPECT_EQ(sweepToJson(ref), sweepToJson(b8));
-    EXPECT_EQ(sweepToCsv(ref), sweepToCsv(b1));
-    EXPECT_EQ(sweepToCsv(ref), sweepToCsv(b8));
+    // Three engine kinds x two history depths: the batched schedule
+    // folds each kind's pair of jobs into one lockstep tile.
+    SweepSpec kinds;
+    kinds.setName("batched-equivalence");
+    kinds.setBenchmarks({ "gcc", "compress", "swim" });
+    kinds.addAxis("numBlocks", { "1", "2", "4" });
+    kinds.addAxis("historyBits", { "6", "8" });
+    expectIdentical(kinds, false);
+
+    // The fig7 shape: finite BIT sizes down to 16 entries.
+    SweepSpec bit;
+    bit.setName("batched-finite-bit");
+    bit.setBenchmarks({ "gcc", "compress" });
+    bit.addAxis("historyBits", { "6", "8", "10", "12" });
+    bit.addAxis("bitEntries", { "16", "64", "256", "1024" });
+    expectIdentical(bit, false);
+
+    // The 3-block Multi engine over history x select tables.
+    SweepSpec multi;
+    multi.setName("batched-multi3");
+    multi.setBenchmarks({ "gcc", "compress" });
+    multi.setBase("numBlocks", "3");
+    multi.addAxis("historyBits", { "6", "8", "10", "12" });
+    multi.addAxis("numSelectTables", { "1", "2", "4", "8" });
+    expectIdentical(multi, false);
+
+    expectIdentical(kinds, true);
+    obs::resetAll();
 }
 
 TEST(SweepRunner, BatchedReplayFallsBackOnMixedGeometry)
@@ -242,10 +268,12 @@ reportSimCounters(const SweepResult &r)
     if (counters == nullptr)
         return {};
     std::vector<std::pair<std::string, double>> sim;
-    for (auto &[name, v] : obs::flattenScalars(*counters))
+    for (std::size_t i = 0; i < counters->size(); ++i) {
+        const std::string &name = counters->keyAt(i);
         if (name.rfind("engine.", 0) == 0 ||
             name.rfind("predict.", 0) == 0)
-            sim.emplace_back(name, v);
+            sim.emplace_back(name, counters->memberAt(i).asNumber());
+    }
     return sim;
 }
 

@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "temp_path.hh"
 #include "trace/artifact_file.hh"
 #include "trace/decoded_trace.hh"
 #include "workload/spec95.hh"
@@ -27,7 +32,7 @@ class ArtifactFileTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "mbbp_artifact_test.mbbpart";
+        path_ = testTempPath("mbbp_artifact_test", ".mbbpart");
         std::remove(path_.c_str());
 
         trace_ = specTrace("compress", 20000);
@@ -190,9 +195,41 @@ TEST_F(ArtifactFileTest, RejectThenRebuildThenReload)
     expectReplayIdentical(rebuilt, *loaded);
 }
 
+TEST_F(ArtifactFileTest, ConcurrentSavesOfOneKeyAllSucceed)
+{
+    // Writers sharing an artifact dir (two daemons, or a daemon and
+    // sweep_cli) race to save the same key. Every save must land as
+    // one whole file, none may fail, and no temp file may be left.
+    constexpr int kWriters = 8;
+    constexpr int kSavesEach = 4;
+    std::atomic<int> saved{ 0 };
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w)
+        writers.emplace_back([&] {
+            for (int s = 0; s < kSavesEach; ++s)
+                if (saveDecodedArtifact(path_, key_, dec_))
+                    ++saved;
+        });
+    for (std::thread &t : writers)
+        t.join();
+    EXPECT_EQ(saved.load(), kWriters * kSavesEach);
+
+    std::shared_ptr<const DecodedTrace> loaded =
+        loadDecodedArtifact(path_, key_, geom_);
+    ASSERT_NE(loaded, nullptr);
+    expectReplayIdentical(dec_, *loaded);
+
+    std::filesystem::path target(path_);
+    std::string tmp_prefix = target.filename().string() + ".tmp";
+    for (const auto &entry :
+         std::filesystem::directory_iterator(target.parent_path()))
+        EXPECT_NE(entry.path().filename().string().rfind(tmp_prefix, 0),
+                  0u) << "left behind: " << entry.path();
+}
+
 TEST(ArtifactStoreTest, StoreRoundTripAndCounters)
 {
-    std::string dir = ::testing::TempDir() + "mbbp_store_test";
+    std::string dir = testTempPath("mbbp_store_test");
     ArtifactStore store(dir);
 
     InMemoryTrace trace = specTrace("swim", 10000);
@@ -208,7 +245,7 @@ TEST(ArtifactStoreTest, StoreRoundTripAndCounters)
     EXPECT_TRUE(loaded->mapped());
     EXPECT_EQ(loaded->numBlocks(), dec.numBlocks());
 
-    std::remove(store.pathFor(key).c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ArtifactKeyTest, FileNameEncodesIdentity)

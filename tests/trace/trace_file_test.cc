@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.hh"
+
 namespace mbbp
 {
 namespace
@@ -18,7 +20,7 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "mbbp_trace_test.bin";
+        path_ = testTempPath("mbbp_trace_test", ".bin");
     }
 
     void

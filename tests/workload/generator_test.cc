@@ -77,6 +77,14 @@ struct GenParam
     uint32_t functions;
 };
 
+// Print the label, not gtest's default byte dump: that holds the
+// string's address, so the test's name would change every run.
+void
+PrintTo(const GenParam &gp, std::ostream *os)
+{
+    *os << gp.label;
+}
+
 class GeneratorSweep : public ::testing::TestWithParam<GenParam>
 {
 };
