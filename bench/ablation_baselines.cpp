@@ -13,6 +13,7 @@
  *     discipline's accuracy cost -- Figure 6's underlying question).
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "bench_util.hh"
@@ -20,9 +21,56 @@
 using namespace mbbp;
 using namespace mbbp::bench;
 
+namespace
+{
+
+/** Programs of the two-block-ahead comparison, in row order. */
+const std::vector<std::string> tbaPrograms = { "gcc", "go", "li",
+                                               "swim", "mgrid" };
+
+/** Everything the three ablations measure on one program. */
+struct ProgramRuns
+{
+    AccuracyResult blocked;     //!< blocked PHT, h=10
+    AccuracyResult scalar;      //!< scalar two-level, h=10, 8 PHTs
+    BacStats bac;               //!< Yeh BAC (int programs)
+    TwoBlockAheadStats tba;     //!< Seznec (tbaPrograms)
+    FetchStats twoAhead;        //!< TwoAheadEngine (tbaPrograms)
+    FetchStats select;          //!< DualBlockEngine (tbaPrograms)
+};
+
+ProgramRuns
+runProgram(const std::string &name)
+{
+    const InMemoryTrace &t = benchTraces().get(name);
+    ProgramRuns r;
+    r.blocked = blockedPhtAccuracy(t, 10, ICacheConfig::normal(8));
+    r.scalar = scalarAccuracy(t, 10, 8);
+    if (!specProfile(name).isFloat)
+        r.bac = BranchAddressCache({ 10, 1024, 2, 8 }).simulate(t);
+    if (std::find(tbaPrograms.begin(), tbaPrograms.end(), name) !=
+        tbaPrograms.end()) {
+        r.tba = TwoBlockAhead({ 10, 1024, 8 }).simulate(t);
+        r.twoAhead = TwoAheadEngine(FetchEngineConfig{}).run(t);
+        r.select = DualBlockEngine(FetchEngineConfig{}).run(t);
+    }
+    return r;
+}
+
+} // namespace
+
 int
 main()
 {
+    // One pool task per program; every table folds in program order.
+    const std::vector<std::string> names = specAllNames();
+    ThreadPool pool(benchThreads());
+    const std::vector<ProgramRuns> runs = parallelMap(
+        pool, names,
+        [](const std::string &name, std::size_t) {
+            return runProgram(name);
+        });
+
     // --- 1. Yeh BAC vs blocked PHT -------------------------------
     TextTable bac_table("Ablation 1: Yeh BAC vs blocked PHT (int)");
     bac_table.setHeader({ "scheme", "cond acc%", "PHT reads/cycle",
@@ -30,12 +78,11 @@ main()
 
     AccuracyResult blocked_total;
     BacStats bac_total;
-    for (const auto &name : specIntNames()) {
-        const InMemoryTrace &t = benchTraces().get(name);
-        blocked_total.accumulate(
-            blockedPhtAccuracy(t, 10, ICacheConfig::normal(8)));
-        BranchAddressCache bac({ 10, 1024, 2, 8 });
-        BacStats s = bac.simulate(t);
+    for (std::size_t p = 0; p < names.size(); ++p) {
+        if (specProfile(names[p]).isFloat)
+            continue;
+        blocked_total.accumulate(runs[p].blocked);
+        const BacStats &s = runs[p].bac;
         bac_total.basicBlocks += s.basicBlocks;
         bac_total.condBranches += s.condBranches;
         bac_total.condMispredicts += s.condMispredicts;
@@ -61,18 +108,13 @@ main()
     TextTable tba_table("Ablation 2: two-block-ahead (Seznec)");
     tba_table.setHeader({ "program", "2nd-block addr acc%",
                           "2-ahead IPC_f", "select-table IPC_f" });
-    for (const char *name : { "gcc", "go", "li", "swim", "mgrid" }) {
-        TwoBlockAhead tba({ 10, 1024, 8 });
-        TwoBlockAheadStats s = tba.simulate(benchTraces().get(name));
-        FetchStats ta_run =
-            TwoAheadEngine(FetchEngineConfig{})
-                .run(benchTraces().get(name));
-        FetchStats st_run =
-            DualBlockEngine(FetchEngineConfig{})
-                .run(benchTraces().get(name));
-        tba_table.addRow({ name, pct(s.secondAccuracy(), 1),
-                           TextTable::fmt(ta_run.ipcF(), 2),
-                           TextTable::fmt(st_run.ipcF(), 2) });
+    for (const std::string &name : tbaPrograms) {
+        const ProgramRuns &r =
+            runs[std::find(names.begin(), names.end(), name) -
+                 names.begin()];
+        tba_table.addRow({ name, pct(r.tba.secondAccuracy(), 1),
+                           TextTable::fmt(r.twoAhead.ipcF(), 2),
+                           TextTable::fmt(r.select.ipcF(), 2) });
     }
     std::cout << out(tba_table)
               << "(TwoAheadEngine is a simplified address-table "
@@ -91,12 +133,11 @@ main()
                           "scalar (per-branch GHR)%" });
     for (bool is_fp : { false, true }) {
         AccuracyResult blocked, scalar;
-        const auto names = is_fp ? specFpNames() : specIntNames();
-        for (const auto &name : names) {
-            const InMemoryTrace &t = benchTraces().get(name);
-            blocked.accumulate(
-                blockedPhtAccuracy(t, 10, ICacheConfig::normal(8)));
-            scalar.accumulate(scalarAccuracy(t, 10, 8));
+        for (std::size_t p = 0; p < names.size(); ++p) {
+            if (specProfile(names[p]).isFloat != is_fp)
+                continue;
+            blocked.accumulate(runs[p].blocked);
+            scalar.accumulate(runs[p].scalar);
         }
         ghr_table.addRow({ is_fp ? "FP" : "Int",
                            pct(blocked.accuracy(), 2),

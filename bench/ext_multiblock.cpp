@@ -16,24 +16,24 @@ using namespace mbbp::bench;
 int
 main()
 {
-    TextTable table("Extension: 1..4 blocks per cycle "
-                    "(self-aligned, 8 STs, h=10)");
-    table.setHeader({ "blocks", "Int IPC_f", "FP IPC_f", "Int BEP",
-                      "FP BEP", "cost Kbits" });
-
+    std::vector<SimConfig> cfgs;
     for (unsigned blocks : { 1u, 2u, 3u, 4u }) {
         SimConfig cfg;
         cfg.numBlocks = blocks;
         cfg.engine.icache = ICacheConfig::selfAligned(8);
         cfg.engine.numSelectTables = 8;
+        cfgs.push_back(cfg);
+    }
+    const std::vector<SuiteResult> results = runConfigs(cfgs);
 
-        FetchStats int_total, fp_total;
-        for (const auto &name : specIntNames())
-            int_total.accumulate(
-                FetchSimulator(cfg).run(benchTraces().get(name)));
-        for (const auto &name : specFpNames())
-            fp_total.accumulate(
-                FetchSimulator(cfg).run(benchTraces().get(name)));
+    TextTable table("Extension: 1..4 blocks per cycle "
+                    "(self-aligned, 8 STs, h=10)");
+    table.setHeader({ "blocks", "Int IPC_f", "FP IPC_f", "Int BEP",
+                      "FP BEP", "cost Kbits" });
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        const unsigned blocks = cfgs[i].numBlocks;
+        const FetchStats &int_total = results[i].intTotal;
+        const FetchStats &fp_total = results[i].fpTotal;
 
         // Cost: PHT + BIT shared; one ST and one extra target array
         // per additional predicted block.

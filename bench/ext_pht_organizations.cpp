@@ -8,14 +8,17 @@
  * per-table size, plus the gshare-vs-concatenation indexing choice
  * for the scalar baseline.
  *
- * Driven by the sweep engine: each table's rows are a SweepSpec
- * (explicit points for the storage-matched pairs, a grid for the
- * fixed-table sweep) evaluated in parallel on the shared pool and
- * printed in deterministic job order.
+ * Program-major: one pool task per program generates its trace,
+ * decodes it once and runs every blocked-PHT variant over the
+ * decoded blocks, plus the scalar baselines over the trace. The
+ * rows' SweepSpecs only name the variants; per-class totals are
+ * folded in program order, so the tables are identical at any
+ * thread count.
  */
 
 #include <iostream>
 #include <utility>
+#include <vector>
 
 #include "bench_util.hh"
 
@@ -25,45 +28,33 @@ using namespace mbbp::bench;
 namespace
 {
 
-/** Blocked accuracy with an explicit PHT count / history length. */
-AccuracyResult
-blockedWith(unsigned history_bits, unsigned num_phts, bool is_fp)
+/** Scalar baseline index schemes (not SimConfig-expressible). */
+struct ScalarVariant
 {
-    AccuracyResult total;
-    const auto names = is_fp ? specFpNames() : specIntNames();
-    for (const auto &name : names) {
-        const InMemoryTrace &t = benchTraces().get(name);
-        ICacheModel cache(ICacheConfig::normal(8));
-        BlockedPHT pht({ history_bits, 8, 2, num_phts });
-        GlobalHistory ghr(history_bits);
-        TraceCursor cursor(t);
-        BlockStream stream(cursor, cache);
-        OwnedBlock blk;
-        AccuracyResult res;
-        while (stream.next(blk)) {
-            std::size_t idx = pht.index(ghr, blk.startPc);
-            for (const auto &inst : blk.insts) {
-                if (!isCondBranch(inst.cls))
-                    continue;
-                ++res.condBranches;
-                if (pht.predictAt(idx, inst.pc) != inst.taken)
-                    ++res.mispredicts;
-                pht.updateAt(idx, inst.pc, inst.taken);
-            }
-            ghr.shiftInBlock(blk.condOutcomes(), blk.numConds());
-        }
-        total.accumulate(res);
-    }
-    return total;
-}
+    const char *label;
+    unsigned num_phts;
+    bool gshare;
+};
 
-/** Int and fp accuracy for one job's (historyBits, numPhts). */
-std::pair<AccuracyResult, AccuracyResult>
-jobAccuracy(const SweepJob &job, std::size_t)
+/** One program's accuracies: blocked variants, then scalar ones. */
+struct ProgramAccuracy
 {
-    unsigned h = job.config.engine.historyBits;
-    unsigned p = job.config.engine.numPhts;
-    return { blockedWith(h, p, false), blockedWith(h, p, true) };
+    std::vector<AccuracyResult> blocked;
+    std::vector<AccuracyResult> scalar;
+};
+
+/** Int and fp totals of @p pick over the programs, in program order. */
+template <typename Pick>
+std::pair<AccuracyResult, AccuracyResult>
+classTotals(const std::vector<std::string> &names,
+            const std::vector<ProgramAccuracy> &per_program,
+            Pick pick)
+{
+    AccuracyResult int_total, fp_total;
+    for (std::size_t p = 0; p < names.size(); ++p)
+        (specProfile(names[p]).isFloat ? fp_total : int_total)
+            .accumulate(pick(per_program[p]));
+    return { int_total, fp_total };
 }
 
 } // namespace
@@ -71,8 +62,6 @@ jobAccuracy(const SweepJob &job, std::size_t)
 int
 main()
 {
-    ThreadPool pool(benchThreads());
-
     // p tables of 2^h entries: p * 2^h * 16 bits = 16 Kbits total,
     // so h shrinks by log2(p) -- derived pairs, hence explicit
     // points rather than a grid.
@@ -86,10 +75,50 @@ main()
             { { "numPhts", std::to_string(p) },
               { "historyBits", std::to_string(h) } });
     }
+    // Fixed per-table size: a plain one-axis grid at h=10.
+    SweepSpec fixed_table_spec;
+    fixed_table_spec.setName("pht-fixed-table");
+    fixed_table_spec.setBase("historyBits", "10");
+    fixed_table_spec.addAxis("numPhts", { "1", "2", "4", "8" });
+
     const std::vector<SweepJob> fixed_total_jobs =
         fixed_total_spec.expand();
-    auto fixed_total_rows =
-        parallelMap(pool, fixed_total_jobs, jobAccuracy);
+    const std::vector<SweepJob> fixed_table_jobs =
+        fixed_table_spec.expand();
+    std::vector<SweepJob> blocked_jobs = fixed_total_jobs;
+    blocked_jobs.insert(blocked_jobs.end(), fixed_table_jobs.begin(),
+                        fixed_table_jobs.end());
+
+    const std::vector<ScalarVariant> variants = {
+        { "per-addr (8 PHTs)", 8, false },
+        { "single shared (1 PHT)", 1, false },
+        { "gshare (1 PHT, xor)", 1, true },
+    };
+
+    const std::vector<std::string> names = specAllNames();
+    ThreadPool pool(benchThreads());
+    const std::vector<ProgramAccuracy> per_program = parallelMap(
+        pool, names, [&](const std::string &name, std::size_t) {
+            TraceCache local(benchInstructions());
+            const InMemoryTrace &t = local.get(name);
+            ProgramAccuracy acc;
+            const DecodedTrace dec =
+                DecodedTrace::build(t, ICacheConfig::normal(8));
+            for (const SweepJob &job : blocked_jobs)
+                acc.blocked.push_back(blockedPhtAccuracy(
+                    dec, job.config.engine.historyBits,
+                    job.config.engine.numPhts));
+            for (const ScalarVariant &v : variants)
+                acc.scalar.push_back(
+                    scalarAccuracy(t, 10, v.num_phts, v.gshare));
+            return acc;
+        });
+    auto blocked_totals = [&](std::size_t i) {
+        return classTotals(names, per_program,
+                           [&](const ProgramAccuracy &a) {
+                               return a.blocked[i];
+                           });
+    };
 
     TextTable fixed_total(
         "Per-block PHT variation at fixed total storage (16 Kbits)");
@@ -97,23 +126,13 @@ main()
                             "FP acc%" });
     for (std::size_t i = 0; i < fixed_total_jobs.size(); ++i) {
         const SimConfig &cfg = fixed_total_jobs[i].config;
-        fixed_total.addRow(
-            { std::to_string(cfg.engine.numPhts),
-              std::to_string(cfg.engine.historyBits),
-              pct(fixed_total_rows[i].first.accuracy(), 2),
-              pct(fixed_total_rows[i].second.accuracy(), 2) });
+        const auto [int_acc, fp_acc] = blocked_totals(i);
+        fixed_total.addRow({ std::to_string(cfg.engine.numPhts),
+                             std::to_string(cfg.engine.historyBits),
+                             pct(int_acc.accuracy(), 2),
+                             pct(fp_acc.accuracy(), 2) });
     }
     std::cout << out(fixed_total) << "\n";
-
-    // Fixed per-table size: a plain one-axis grid at h=10.
-    SweepSpec fixed_table_spec;
-    fixed_table_spec.setName("pht-fixed-table");
-    fixed_table_spec.setBase("historyBits", "10");
-    fixed_table_spec.addAxis("numPhts", { "1", "2", "4", "8" });
-    const std::vector<SweepJob> fixed_table_jobs =
-        fixed_table_spec.expand();
-    auto fixed_table_rows =
-        parallelMap(pool, fixed_table_jobs, jobAccuracy);
 
     TextTable fixed_table(
         "Per-block PHT variation at fixed per-table size (h=10)");
@@ -122,52 +141,28 @@ main()
     for (std::size_t i = 0; i < fixed_table_jobs.size(); ++i) {
         unsigned p = fixed_table_jobs[i].config.engine.numPhts;
         BlockedPHT probe({ 10, 8, 2, p });
+        const auto [int_acc, fp_acc] =
+            blocked_totals(fixed_total_jobs.size() + i);
         fixed_table.addRow({
             std::to_string(p),
             TextTable::fmt(
                 static_cast<double>(probe.storageBits()) / 1024.0, 0),
-            pct(fixed_table_rows[i].first.accuracy(), 2),
-            pct(fixed_table_rows[i].second.accuracy(), 2),
+            pct(int_acc.accuracy(), 2),
+            pct(fp_acc.accuracy(), 2),
         });
     }
     std::cout << out(fixed_table) << "\n";
 
-    // Scalar baseline index schemes: not SimConfig-expressible
-    // (gshare is a scalar-reference knob), so sweep a plain variant
-    // list on the same pool.
-    struct Variant
-    {
-        const char *label;
-        unsigned num_phts;
-        bool gshare;
-    };
-    const std::vector<Variant> variants = {
-        { "per-addr (8 PHTs)", 8, false },
-        { "single shared (1 PHT)", 1, false },
-        { "gshare (1 PHT, xor)", 1, true },
-    };
-    auto scalar_rows = parallelMap(
-        pool, variants, [&](const Variant &v, std::size_t) {
-            AccuracyResult int_total, fp_total;
-            for (const auto &name : specIntNames())
-                int_total.accumulate(scalarAccuracy(
-                    benchTraces().get(name), 10, v.num_phts,
-                    v.gshare));
-            for (const auto &name : specFpNames())
-                fp_total.accumulate(scalarAccuracy(
-                    benchTraces().get(name), 10, v.num_phts,
-                    v.gshare));
-            return std::pair<AccuracyResult, AccuracyResult>(
-                int_total, fp_total);
-        });
-
     TextTable scalar_idx("Scalar baseline index schemes (h=10)");
     scalar_idx.setHeader({ "scheme", "Int acc%", "FP acc%" });
-    for (std::size_t i = 0; i < variants.size(); ++i)
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        const auto [int_acc, fp_acc] = classTotals(
+            names, per_program,
+            [&](const ProgramAccuracy &a) { return a.scalar[i]; });
         scalar_idx.addRow({ variants[i].label,
-                            pct(scalar_rows[i].first.accuracy(), 2),
-                            pct(scalar_rows[i].second.accuracy(),
-                                2) });
+                            pct(int_acc.accuracy(), 2),
+                            pct(fp_acc.accuracy(), 2) });
+    }
     std::cout << out(scalar_idx);
     return 0;
 }

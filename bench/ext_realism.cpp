@@ -22,27 +22,34 @@ using namespace mbbp::bench;
 int
 main()
 {
-    // --- 1. Finite i-cache sweep ---------------------------------
-    TextTable icache("Extension: finite i-cache (dual block, int)");
-    icache.setHeader({ "lines (KB @32B)", "miss rate%", "IPC_f",
-                       "vs perfect%" });
-
+    // One config list for both experiments: the perfect-cache base
+    // (which is also the immediate-update row of experiment 2), the
+    // finite i-cache sweep, then delayed PHT update.
     SimConfig base;
     base.numBlocks = 2;
-    FetchStats perfect;
-    for (const auto &name : specIntNames())
-        perfect.accumulate(
-            FetchSimulator(base).run(benchTraces().get(name)));
-
-    for (std::size_t lines : { 128u, 256u, 512u, 1024u, 4096u }) {
+    std::vector<SimConfig> cfgs = { base };
+    const std::vector<std::size_t> line_counts = { 128u, 256u, 512u,
+                                                   1024u, 4096u };
+    for (std::size_t lines : line_counts) {
         SimConfig cfg = base;
         cfg.engine.icacheLines = lines;
         cfg.engine.icacheAssoc = 2;
         cfg.engine.icacheMissPenalty = 10;
-        FetchStats total;
-        for (const auto &name : specIntNames())
-            total.accumulate(
-                FetchSimulator(cfg).run(benchTraces().get(name)));
+        cfgs.push_back(cfg);
+    }
+    SimConfig delayed_cfg = base;
+    delayed_cfg.engine.delayedPhtUpdate = true;
+    cfgs.push_back(delayed_cfg);
+    const std::vector<SuiteResult> results = runConfigs(cfgs);
+
+    // --- 1. Finite i-cache sweep ---------------------------------
+    TextTable icache("Extension: finite i-cache (dual block, int)");
+    icache.setHeader({ "lines (KB @32B)", "miss rate%", "IPC_f",
+                       "vs perfect%" });
+    const FetchStats &perfect = results[0].intTotal;
+    for (std::size_t i = 0; i < line_counts.size(); ++i) {
+        const std::size_t lines = line_counts[i];
+        const FetchStats &total = results[1 + i].intTotal;
         double miss_rate =
             100.0 * static_cast<double>(total.icacheMisses) /
             static_cast<double>(total.icacheAccesses);
@@ -63,15 +70,9 @@ main()
     delayed.setHeader({ "mode", "class", "IPC_f",
                         "direction errors" });
     for (bool delay : { false, true }) {
+        const SuiteResult &r = delay ? results.back() : results[0];
         for (bool is_fp : { false, true }) {
-            SimConfig cfg;
-            cfg.numBlocks = 2;
-            cfg.engine.delayedPhtUpdate = delay;
-            FetchStats total;
-            const auto names = is_fp ? specFpNames() : specIntNames();
-            for (const auto &name : names)
-                total.accumulate(
-                    FetchSimulator(cfg).run(benchTraces().get(name)));
+            const FetchStats &total = is_fp ? r.fpTotal : r.intTotal;
             delayed.addRow({ delay ? "at resolution (no PHT-block)"
                                    : "immediate (BBR PHT-block)",
                              is_fp ? "FP" : "Int",

@@ -24,10 +24,11 @@ main()
     cfg.engine.icache = ICacheConfig::selfAligned(8);
     cfg.engine.numSelectTables = 8;
 
+    const SuiteResult result = runConfigs({ cfg }).front();
+
     // Machine-readable dump of the full suite run on request.
     if (const char *env = std::getenv("MBBP_BENCH_JSON");
         env && env[0] == '1') {
-        SuiteResult result = runSuite(cfg, benchTraces());
         std::cout << suiteResultToJson(result) << "\n";
         return 0;
     }
@@ -38,74 +39,28 @@ main()
                       "ghr", "mf-imm", "mf-ind", "return", "bank",
                       "IPC_f" });
 
-    FetchStats int_total, fp_total;
-    for (const auto &name : specAllNames()) {
-        FetchStats s = FetchSimulator(cfg).run(benchTraces().get(name));
-        table.addRow({
-            name,
-            TextTable::fmt(s.bep(), 3),
-            TextTable::fmt(s.bepOf(PenaltyKind::CondMispredict), 3),
-            TextTable::fmt(s.bepOf(PenaltyKind::Misselect), 3),
-            TextTable::fmt(s.bepOf(PenaltyKind::GhrMispredict), 3),
-            TextTable::fmt(s.bepOf(PenaltyKind::MisfetchImmediate),
-                           3),
-            TextTable::fmt(s.bepOf(PenaltyKind::MisfetchIndirect),
-                           3),
-            TextTable::fmt(s.bepOf(PenaltyKind::ReturnMispredict),
-                           3),
-            TextTable::fmt(s.bepOf(PenaltyKind::BankConflict), 3),
-            TextTable::fmt(s.ipcF(), 2),
-        });
-        if (specProfile(name).isFloat)
-            fp_total.accumulate(s);
-        else
-            int_total.accumulate(s);
-    }
-    table.addRow({ "CINT95", TextTable::fmt(int_total.bep(), 3),
-                   TextTable::fmt(
-                       int_total.bepOf(PenaltyKind::CondMispredict),
-                       3),
-                   TextTable::fmt(int_total.bepOf(
-                                      PenaltyKind::Misselect), 3),
-                   TextTable::fmt(int_total.bepOf(
-                                      PenaltyKind::GhrMispredict), 3),
-                   TextTable::fmt(
-                       int_total.bepOf(PenaltyKind::MisfetchImmediate),
-                       3),
-                   TextTable::fmt(
-                       int_total.bepOf(PenaltyKind::MisfetchIndirect),
-                       3),
-                   TextTable::fmt(
-                       int_total.bepOf(PenaltyKind::ReturnMispredict),
-                       3),
-                   TextTable::fmt(int_total.bepOf(
-                                      PenaltyKind::BankConflict), 3),
-                   TextTable::fmt(int_total.ipcF(), 2) });
-    table.addRow({ "CFP95", TextTable::fmt(fp_total.bep(), 3),
-                   TextTable::fmt(
-                       fp_total.bepOf(PenaltyKind::CondMispredict),
-                       3),
-                   TextTable::fmt(fp_total.bepOf(
-                                      PenaltyKind::Misselect), 3),
-                   TextTable::fmt(fp_total.bepOf(
-                                      PenaltyKind::GhrMispredict), 3),
-                   TextTable::fmt(
-                       fp_total.bepOf(PenaltyKind::MisfetchImmediate),
-                       3),
-                   TextTable::fmt(
-                       fp_total.bepOf(PenaltyKind::MisfetchIndirect),
-                       3),
-                   TextTable::fmt(
-                       fp_total.bepOf(PenaltyKind::ReturnMispredict),
-                       3),
-                   TextTable::fmt(fp_total.bepOf(
-                                      PenaltyKind::BankConflict), 3),
-                   TextTable::fmt(fp_total.ipcF(), 2) });
+    auto add_row = [&](const std::string &label, const FetchStats &s) {
+        std::vector<std::string> row = { label,
+                                         TextTable::fmt(s.bep(), 3) };
+        for (PenaltyKind k :
+             { PenaltyKind::CondMispredict, PenaltyKind::Misselect,
+               PenaltyKind::GhrMispredict,
+               PenaltyKind::MisfetchImmediate,
+               PenaltyKind::MisfetchIndirect,
+               PenaltyKind::ReturnMispredict,
+               PenaltyKind::BankConflict })
+            row.push_back(TextTable::fmt(s.bepOf(k), 3));
+        row.push_back(TextTable::fmt(s.ipcF(), 2));
+        table.addRow(row);
+    };
+    for (const auto &name : specAllNames())
+        add_row(name, result.perProgram.at(name));
+    add_row("CINT95", result.intTotal);
+    add_row("CFP95", result.fpTotal);
     std::cout << out(table);
 
-    FetchStats all = int_total;
-    all.accumulate(fp_total);
-    std::cout << "\nSuite IPC_f " << TextTable::fmt(all.ipcF(), 2)
+    std::cout << "\nSuite IPC_f "
+              << TextTable::fmt(result.allTotal.ipcF(), 2)
               << " (paper: over 8 for the whole suite; FP 10.9)\n";
     return 0;
 }

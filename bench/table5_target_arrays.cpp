@@ -20,51 +20,48 @@ using namespace mbbp::bench;
 int
 main()
 {
+    // BTB (4-way) block entries 8..64, then NLS 64..512, each
+    // without and with near-block encoding.
+    std::vector<SimConfig> cfgs;
+    for (TargetKind kind : { TargetKind::Btb, TargetKind::Nls }) {
+        const std::size_t first = kind == TargetKind::Btb ? 8 : 64;
+        for (std::size_t e = first; e <= 8 * first; e *= 2) {
+            for (bool near : { false, true }) {
+                SimConfig cfg;
+                cfg.numBlocks = 2;
+                cfg.engine.targetKind = kind;
+                cfg.engine.targetEntries = e;
+                cfg.engine.nearBlock = near;
+                cfgs.push_back(cfg);
+            }
+        }
+    }
+    const std::vector<SuiteResult> results =
+        runConfigs(cfgs, specIntNames());
+
     TextTable table("Table 5: target arrays (SPECint, dual block)");
     table.setHeader({ "type", "blk entries", "near?", "%BEP mf-imm",
                       "%BEP mf-ind", "BEP", "IPC_f" });
-
-    struct Config
-    {
-        TargetKind kind;
-        std::size_t entries;
-    };
-    std::vector<Config> configs;
-    for (std::size_t e : { 8u, 16u, 32u, 64u })
-        configs.push_back({ TargetKind::Btb, e });
-    for (std::size_t e : { 64u, 128u, 256u, 512u })
-        configs.push_back({ TargetKind::Nls, e });
-
-    double near_fraction = 0.0;
-    for (const Config &c : configs) {
-        for (bool near : { false, true }) {
-            SimConfig cfg;
-            cfg.numBlocks = 2;
-            cfg.engine.targetKind = c.kind;
-            cfg.engine.targetEntries = c.entries;
-            cfg.engine.nearBlock = near;
-            FetchStats total;
-            for (const auto &name : specIntNames())
-                total.accumulate(
-                    FetchSimulator(cfg).run(benchTraces().get(name)));
-            double bep = total.bep();
-            auto share = [&](PenaltyKind k) {
-                return bep > 0.0 ? total.bepOf(k) / bep : 0.0;
-            };
-            table.addRow({
-                c.kind == TargetKind::Btb ? "BTB" : "NLS",
-                std::to_string(c.entries),
-                near ? "yes" : "no",
-                pct(share(PenaltyKind::MisfetchImmediate), 1),
-                pct(share(PenaltyKind::MisfetchIndirect), 1),
-                TextTable::fmt(bep, 3),
-                TextTable::fmt(total.ipcF(), 2),
-            });
-            near_fraction = total.nearBlockFraction();
-        }
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        const FetchEngineConfig &e = cfgs[i].engine;
+        const FetchStats &total = results[i].intTotal;
+        double bep = total.bep();
+        auto share = [&](PenaltyKind k) {
+            return bep > 0.0 ? total.bepOf(k) / bep : 0.0;
+        };
+        table.addRow({
+            e.targetKind == TargetKind::Btb ? "BTB" : "NLS",
+            std::to_string(e.targetEntries),
+            e.nearBlock ? "yes" : "no",
+            pct(share(PenaltyKind::MisfetchImmediate), 1),
+            pct(share(PenaltyKind::MisfetchIndirect), 1),
+            TextTable::fmt(bep, 3),
+            TextTable::fmt(total.ipcF(), 2),
+        });
     }
     std::cout << out(table) << "\n"
               << "Near-block conditional fraction: "
-              << pct(near_fraction, 1) << "% (paper: about 70%)\n";
+              << pct(results.back().intTotal.nearBlockFraction(), 1)
+              << "% (paper: about 70%)\n";
     return 0;
 }

@@ -23,56 +23,57 @@ using namespace mbbp::bench;
 int
 main()
 {
+    // Per cache type, one and two blocks per cycle.
+    const std::vector<ICacheConfig> caches = {
+        ICacheConfig::normal(8), ICacheConfig::extended(8),
+        ICacheConfig::selfAligned(8)
+    };
+    std::vector<SimConfig> cfgs;
+    for (const ICacheConfig &icache : caches) {
+        for (unsigned blocks : { 1u, 2u }) {
+            SimConfig cfg;
+            cfg.numBlocks = blocks;
+            cfg.engine.icache = icache;
+            cfg.engine.numSelectTables = 8;
+            cfgs.push_back(cfg);
+        }
+    }
+    const std::vector<SuiteResult> results = runConfigs(cfgs);
+
     TextTable table("Table 6: cache types (8 STs, h=10)");
     table.setHeader({ "cache", "line", "banks", "Int IPB",
                       "Int IPCf 1blk", "Int IPCf 2blk", "FP IPB",
                       "FP IPCf 1blk", "FP IPCf 2blk" });
-
-    double int_1 = 0, int_2 = 0, fp_1 = 0, fp_2 = 0;
-    for (ICacheConfig icache : { ICacheConfig::normal(8),
-                                 ICacheConfig::extended(8),
-                                 ICacheConfig::selfAligned(8) }) {
+    for (std::size_t c = 0; c < caches.size(); ++c) {
         std::vector<std::string> row = {
-            cacheTypeName(icache.type),
-            std::to_string(icache.lineSize),
-            std::to_string(icache.numBanks),
+            cacheTypeName(caches[c].type),
+            std::to_string(caches[c].lineSize),
+            std::to_string(caches[c].numBanks),
         };
         for (bool is_fp : { false, true }) {
-            double ipb = 0.0;
-            double ipcf[2] = { 0.0, 0.0 };
-            for (unsigned blocks : { 1u, 2u }) {
-                SimConfig cfg;
-                cfg.numBlocks = blocks;
-                cfg.engine.icache = icache;
-                cfg.engine.numSelectTables = 8;
-                FetchStats total;
-                const auto names =
-                    is_fp ? specFpNames() : specIntNames();
-                for (const auto &name : names)
-                    total.accumulate(FetchSimulator(cfg).run(
-                        benchTraces().get(name)));
-                ipb = total.ipb();
-                ipcf[blocks - 1] = total.ipcF();
-            }
-            row.push_back(TextTable::fmt(ipb, 2));
-            row.push_back(TextTable::fmt(ipcf[0], 2));
-            row.push_back(TextTable::fmt(ipcf[1], 2));
-            if (icache.type == CacheType::SelfAligned) {
-                if (is_fp) {
-                    fp_1 = ipcf[0];
-                    fp_2 = ipcf[1];
-                } else {
-                    int_1 = ipcf[0];
-                    int_2 = ipcf[1];
-                }
-            }
+            const FetchStats &one = is_fp ? results[2 * c].fpTotal
+                                          : results[2 * c].intTotal;
+            const FetchStats &two = is_fp
+                                        ? results[2 * c + 1].fpTotal
+                                        : results[2 * c + 1].intTotal;
+            // IPB from the two-block run.
+            row.push_back(TextTable::fmt(two.ipb(), 2));
+            row.push_back(TextTable::fmt(one.ipcF(), 2));
+            row.push_back(TextTable::fmt(two.ipcF(), 2));
         }
         table.addRow(row);
     }
+
+    // Self-aligned is the last cache type.
+    auto gain = [&](bool is_fp) {
+        const SuiteResult &one = results[results.size() - 2];
+        const SuiteResult &two = results.back();
+        return is_fp ? two.fpTotal.ipcF() / one.fpTotal.ipcF() - 1.0
+                     : two.intTotal.ipcF() / one.intTotal.ipcF() - 1.0;
+    };
     std::cout << out(table) << "\n"
               << "Self-aligned dual/single gain: Int "
-              << pct(int_2 / int_1 - 1.0, 0)
-              << "% (paper ~40%), FP " << pct(fp_2 / fp_1 - 1.0, 0)
-              << "% (paper ~70%)\n";
+              << pct(gain(false), 0) << "% (paper ~40%), FP "
+              << pct(gain(true), 0) << "% (paper ~70%)\n";
     return 0;
 }

@@ -28,6 +28,27 @@ AccuracyResult::accumulate(const AccuracyResult &other)
     mispredicts += other.mispredicts;
 }
 
+namespace
+{
+
+/** Predict and train every conditional of one block at its PHT row. */
+void
+blockedLookups(BlockedPHT &pht, const GlobalHistory &ghr,
+               const FetchBlock &blk, AccuracyResult &res)
+{
+    std::size_t idx = pht.index(ghr, blk.startPc);
+    for (const DynInst &inst : blk) {
+        if (!isCondBranch(inst.cls))
+            continue;
+        ++res.condBranches;
+        if (pht.predictAt(idx, inst.pc) != inst.taken)
+            ++res.mispredicts;
+        pht.updateAt(idx, inst.pc, inst.taken);
+    }
+}
+
+} // namespace
+
 AccuracyResult
 blockedPhtAccuracy(const InMemoryTrace &trace, unsigned history_bits,
                    const ICacheConfig &icache)
@@ -41,16 +62,23 @@ blockedPhtAccuracy(const InMemoryTrace &trace, unsigned history_bits,
     BlockStream stream(cursor, cache);
     OwnedBlock blk;
     while (stream.next(blk)) {
-        std::size_t idx = pht.index(ghr, blk.startPc);
-        for (const auto &inst : blk.insts) {
-            if (!isCondBranch(inst.cls))
-                continue;
-            ++res.condBranches;
-            if (pht.predictAt(idx, inst.pc) != inst.taken)
-                ++res.mispredicts;
-            pht.updateAt(idx, inst.pc, inst.taken);
-        }
+        blockedLookups(pht, ghr, blk.view(), res);
         ghr.shiftInBlock(blk.condOutcomes(), blk.numConds());
+    }
+    return res;
+}
+
+AccuracyResult
+blockedPhtAccuracy(const DecodedTrace &dec, unsigned history_bits,
+                   unsigned num_phts)
+{
+    AccuracyResult res;
+    BlockedPHT pht(
+        { history_bits, dec.geometry().blockWidth, 2, num_phts });
+    GlobalHistory ghr(history_bits);
+    for (std::size_t i = 0; i < dec.numBlocks(); ++i) {
+        blockedLookups(pht, ghr, dec.block(i), res);
+        ghr.shiftInBlock(dec.condOutcomes(i), dec.numConds(i));
     }
     return res;
 }

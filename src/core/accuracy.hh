@@ -9,6 +9,7 @@
 #define MBBP_CORE_ACCURACY_HH
 
 #include "fetch/icache_model.hh"
+#include "trace/decoded_trace.hh"
 #include "trace/trace.hh"
 
 namespace mbbp
@@ -34,6 +35,18 @@ struct AccuracyResult
 AccuracyResult blockedPhtAccuracy(const InMemoryTrace &trace,
                                   unsigned history_bits,
                                   const ICacheConfig &icache);
+
+/**
+ * The blocked PHT over an already decoded trace, with @p num_phts
+ * per-block tables selected by block-address bits (Section 2's
+ * per-block variation; 1 = the single shared PHT above). Blocks are
+ * the artifact's own, cut for its geometry, so one decode serves
+ * every (history, table count) variant. With num_phts = 1 this
+ * equals the InMemoryTrace overload at the artifact's geometry.
+ */
+AccuracyResult blockedPhtAccuracy(const DecodedTrace &dec,
+                                  unsigned history_bits,
+                                  unsigned num_phts);
 
 /**
  * Run the scalar reference over @p trace: @p num_phts per-address

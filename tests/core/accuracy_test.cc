@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fetch/block.hh"
+#include "predict/blocked_pht.hh"
 #include "workload/spec95.hh"
 
 namespace mbbp
@@ -92,6 +94,76 @@ TEST(Accuracy, SuiteRegimeMatchesPaper)
     EXPECT_NEAR(int_total.accuracy(), 0.915, 0.035);
     EXPECT_NEAR(fp_total.accuracy(), 0.973, 0.02);
     EXPECT_GT(fp_total.accuracy(), int_total.accuracy());
+}
+
+/**
+ * The per-block PHT variation streamed straight off the trace: the
+ * loop ext_pht_organizations ran before the DecodedTrace overload.
+ */
+AccuracyResult
+streamedBlockedAccuracy(const InMemoryTrace &t, unsigned history_bits,
+                        unsigned num_phts)
+{
+    ICacheModel cache(ICacheConfig::normal(8));
+    BlockedPHT pht({ history_bits, 8, 2, num_phts });
+    GlobalHistory ghr(history_bits);
+    TraceCursor cursor(t);
+    BlockStream stream(cursor, cache);
+    OwnedBlock blk;
+    AccuracyResult res;
+    while (stream.next(blk)) {
+        std::size_t idx = pht.index(ghr, blk.startPc);
+        for (const auto &inst : blk.insts) {
+            if (!isCondBranch(inst.cls))
+                continue;
+            ++res.condBranches;
+            if (pht.predictAt(idx, inst.pc) != inst.taken)
+                ++res.mispredicts;
+            pht.updateAt(idx, inst.pc, inst.taken);
+        }
+        ghr.shiftInBlock(blk.condOutcomes(), blk.numConds());
+    }
+    return res;
+}
+
+TEST(Accuracy, DecodedOnePhtEqualsTraceOverload)
+{
+    for (const char *name : { "gcc", "compress", "swim", "fpppp" }) {
+        InMemoryTrace t = specTrace(name, 20000);
+        for (ICacheConfig geom :
+             { ICacheConfig::normal(8), ICacheConfig::extended(8),
+               ICacheConfig::selfAligned(8), ICacheConfig::normal(4) }) {
+            DecodedTrace dec = DecodedTrace::build(t, geom);
+            for (unsigned h : { 6u, 10u, 12u }) {
+                AccuracyResult want = blockedPhtAccuracy(t, h, geom);
+                AccuracyResult got = blockedPhtAccuracy(dec, h, 1);
+                EXPECT_EQ(got.condBranches, want.condBranches)
+                    << name << " h=" << h;
+                EXPECT_EQ(got.mispredicts, want.mispredicts)
+                    << name << " h=" << h;
+            }
+        }
+    }
+}
+
+TEST(Accuracy, DecodedPerBlockPhtsEqualStreamedLoop)
+{
+    for (const char *name : { "go", "li", "tomcatv", "wave5" }) {
+        InMemoryTrace t = specTrace(name, 20000);
+        DecodedTrace dec =
+            DecodedTrace::build(t, ICacheConfig::normal(8));
+        for (unsigned p : { 2u, 4u, 8u }) {
+            for (unsigned h : { 7u, 10u }) {
+                AccuracyResult want = streamedBlockedAccuracy(t, h, p);
+                AccuracyResult got = blockedPhtAccuracy(dec, h, p);
+                EXPECT_GT(want.condBranches, 0u);
+                EXPECT_EQ(got.condBranches, want.condBranches)
+                    << name << " p=" << p << " h=" << h;
+                EXPECT_EQ(got.mispredicts, want.mispredicts)
+                    << name << " p=" << p << " h=" << h;
+            }
+        }
+    }
 }
 
 } // namespace

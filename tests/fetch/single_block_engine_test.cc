@@ -31,7 +31,7 @@ steadyLoop(unsigned body, unsigned reps)
             bool last = i + 1 == body;
             t.append({ 0x1000 + i,
                        last ? InstClass::Jump : InstClass::NonBranch,
-                       last, last ? 0x1000 : 0 });
+                       last, last ? Addr{ 0x1000 } : Addr{ 0 } });
         }
     return t;
 }
@@ -76,7 +76,7 @@ TEST(SingleBlockEngine, IndirectColdMissCostsFour)
             t.append({ 0x1000 + i,
                        last ? InstClass::IndirectJump
                             : InstClass::NonBranch,
-                       last, last ? 0x1000 : 0 });
+                       last, last ? Addr{ 0x1000 } : Addr{ 0 } });
         }
     SingleBlockEngine engine(defaults());
     FetchStats s = engine.run(t);

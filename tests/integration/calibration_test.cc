@@ -67,7 +67,9 @@ INSTANTIATE_TEST_SUITE_P(
         Band{ "apsi", 0.94, 1.00 },
         Band{ "fpppp", 0.91, 1.00 },
         Band{ "wave5", 0.94, 1.00 }),
-    [](const auto &info) { return std::string(info.param.name); });
+    [](const auto &param_info) {
+        return std::string(param_info.param.name);
+    });
 
 TEST(Calibration, IntFpRegimeSplit)
 {

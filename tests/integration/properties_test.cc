@@ -114,8 +114,9 @@ TEST_P(EngineSweep, InvariantsHold)
         EXPECT_EQ(events(PenaltyKind::GhrMispredict), 0u);
         EXPECT_EQ(events(PenaltyKind::BankConflict), 0u);
     }
-    if (p.double_select || p.bit_entries == 0)
+    if (p.double_select || p.bit_entries == 0) {
         EXPECT_EQ(events(PenaltyKind::BitMispredict), 0u);
+    }
 
     // Determinism: a second run is bit-identical.
     FetchStats again = FetchSimulator(cfg).run(trace);
@@ -171,7 +172,9 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{ "single_finite_icache_aligned", "applu", 1, 10,
                     1, false, false, CacheType::SelfAligned,
                     TargetKind::Nls, 256, 0, 512 }),
-    [](const auto &info) { return std::string(info.param.label); });
+    [](const auto &param_info) {
+        return std::string(param_info.param.label);
+    });
 
 /** History-length sweep on one program: accuracy is monotone-ish. */
 class HistorySweep : public ::testing::TestWithParam<unsigned>

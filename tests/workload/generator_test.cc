@@ -121,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
         GenParam{ "indirect", 4, 3.0, 0.5, 2.0, 30 },
         GenParam{ "bodies", 5, 20.0, 1.0, 0.1, 20 },
         GenParam{ "many_funcs", 6, 4.0, 1.0, 0.1, 120 }),
-    [](const auto &info) { return info.param.label; });
+    [](const auto &param_info) { return param_info.param.label; });
 
 } // namespace
 } // namespace mbbp

@@ -70,10 +70,12 @@ TEST(Interpreter, UnconditionalsAlwaysTaken)
     DynInst inst;
     for (int i = 0; i < 10000; ++i) {
         ASSERT_TRUE(interp.next(inst));
-        if (isUnconditional(inst.cls))
+        if (isUnconditional(inst.cls)) {
             ASSERT_TRUE(inst.taken);
-        if (inst.cls == InstClass::NonBranch)
+        }
+        if (inst.cls == InstClass::NonBranch) {
             ASSERT_FALSE(inst.taken);
+        }
     }
 }
 
@@ -89,9 +91,10 @@ TEST(Interpreter, CondBranchesCarryStaticTargets)
             continue;
         ASSERT_NE(inst.target, 0u);
         auto [it, fresh] = seen.emplace(inst.pc, inst.target);
-        if (!fresh)
+        if (!fresh) {
             ASSERT_EQ(it->second, inst.target)
                 << "cond target changed across executions";
+        }
     }
 }
 

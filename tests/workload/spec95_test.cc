@@ -93,7 +93,9 @@ TEST_P(SpecPrograms, StreamStatisticsAreSane)
 
 INSTANTIATE_TEST_SUITE_P(All, SpecPrograms,
                          ::testing::ValuesIn(specAllNames()),
-                         [](const auto &info) { return info.param; });
+                         [](const auto &param_info) {
+                             return param_info.param;
+                         });
 
 } // namespace
 } // namespace mbbp
