@@ -107,6 +107,12 @@ class DecodedBudget
  * "trace.cache.resident_bytes" gauge and drops are counted on
  * "trace.cache.evictions".
  *
+ * Each artifact is charged its DecodedTrace::bytes(): its own
+ * per-geometry columns, or a mapped file plus its image. The
+ * instruction stream and StaticImage every geometry of a trace shares
+ * belong to the trace, which the cache keeps for its whole life; the
+ * budget does not bound them.
+ *
  * With an ArtifactStore attached the cache also persists: a decode
  * miss first tries to mmap the store's artifact file for the key
  * (zero-copy, skipping trace generation entirely), and freshly built

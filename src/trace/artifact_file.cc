@@ -330,7 +330,8 @@ class ArtifactCodec
             reinterpret_cast<const StaticInfo *>(base +
                                                  infos.offset) +
                 infos.count);
-        dec.image_ = StaticImage::fromFlat(image_keys, image_infos);
+        dec.image_ = std::make_shared<const StaticImage>(
+            StaticImage::fromFlat(image_keys, image_infos));
         dec.geom_ = geom;
         dec.mappedBytes_ = map->size();
         dec.ownedBytes_ = 0;

@@ -18,6 +18,17 @@
  * Writes go to a temp file renamed into place, so readers (including
  * concurrent server processes sharing one store directory) never
  * observe a torn file.
+ *
+ * The contract for a file that changes under a reader: a loaded
+ * artifact maps the file and reads it for as long as it lives, and
+ * the checks above run once, at load. Anything that writes artifact
+ * files must therefore replace them by atomic rename, as
+ * saveDecodedArtifact() does: the old inode stays mapped, so an
+ * artifact loaded before the rename replays exactly as before, and
+ * the next load sees the new file. Truncating or rewriting a file in
+ * place is unsupported: a process that mapped it would read bytes the
+ * load-time checks never saw, or take SIGBUS past the new end of the
+ * file.
  */
 
 #ifndef MBBP_TRACE_ARTIFACT_FILE_HH

@@ -1,11 +1,21 @@
 #include "trace/decoded_trace.hh"
 
 #include <type_traits>
+#include <unordered_map>
 
 #include "util/logging.hh"
 
 namespace mbbp
 {
+
+void
+DecodedTrace::Arrays::shrinkToFit()
+{
+    auto fit = [](auto &...v) { (v.shrink_to_fit(), ...); };
+    fit(startPc, nextPc, firstInst, numInsts, exitIdx, condMask,
+        numConds, numNotTaken, branches, nearConds, rasOp, windowLen,
+        codesOffset, codesNear, codesPlain);
+}
 
 std::size_t
 DecodedTrace::Arrays::bytes() const
@@ -13,7 +23,7 @@ DecodedTrace::Arrays::bytes() const
     auto vec = [](const auto &v) {
         return v.capacity() * sizeof(v[0]);
     };
-    return vec(insts) + vec(startPc) + vec(nextPc) + vec(firstInst) +
+    return vec(startPc) + vec(nextPc) + vec(firstInst) +
            vec(numInsts) + vec(exitIdx) + vec(condMask) +
            vec(numConds) + vec(numNotTaken) + vec(branches) +
            vec(nearConds) + vec(rasOp) + vec(windowLen) +
@@ -28,7 +38,6 @@ DecodedTrace::adopt(std::shared_ptr<const Arrays> arrays)
         using T = std::remove_reference_t<decltype(v[0])>;
         return ColumnRef<std::remove_const_t<T>>(v.data(), v.size());
     };
-    insts_ = ref(a.insts);
     startPc_ = ref(a.startPc);
     nextPc_ = ref(a.nextPc);
     firstInst_ = ref(a.firstInst);
@@ -55,16 +64,21 @@ DecodedTrace::build(const InMemoryTrace &trace,
 {
     DecodedTrace dec;
     dec.geom_ = geom;
-    dec.image_ = StaticImage::fromTrace(trace);
+    dec.image_ = trace.image();
+    dec.stream_ = trace.sharedInsts();
+    const std::vector<DynInst> &insts = *dec.stream_;
+    const std::size_t n = insts.size();
+    dec.insts_ = ColumnRef<DynInst>(insts.data(), n);
 
     auto arrays = std::make_shared<Arrays>();
     Arrays &a = *arrays;
-    a.insts = trace.insts();
 
     const ICacheModel cache(geom);
     const unsigned line_size = cache.lineSize();
-    const std::vector<DynInst> &insts = a.insts;
-    const std::size_t n = insts.size();
+    const StaticImage &image = *dec.image_;
+
+    // Start PC -> offset of its window in the code arenas.
+    std::unordered_map<Addr, uint32_t> window_at;
 
     // Segmentation, identical to BlockStream: consecutive slices of
     // the stream, cut at capacity or the first taken transfer; the
@@ -129,17 +143,21 @@ DecodedTrace::build(const InMemoryTrace &trace,
         }
 
         // Window codes cover the whole capacity window, including the
-        // static instructions past a taken exit.
-        const uint32_t codes_off =
-            static_cast<uint32_t>(a.codesNear.size());
-        for (unsigned j = 0; j < capacity; ++j) {
-            const Addr pc = start + j;
-            const StaticInfo info = dec.image_.lookup(pc);
-            const BitCode cn = computeBitCode(info.cls, pc, info.target,
-                                              line_size, true);
-            a.codesNear.push_back(cn);
-            a.codesPlain.push_back(
-                bitCodeIsCond(cn) ? BitCode::CondLong : cn);
+        // static instructions past a taken exit. They depend on the
+        // start PC alone (the capacity too), so each distinct start
+        // is looked up once.
+        const auto [at, fresh] = window_at.try_emplace(
+            start, static_cast<uint32_t>(a.codesNear.size()));
+        if (fresh) {
+            for (unsigned j = 0; j < capacity; ++j) {
+                const Addr pc = start + j;
+                const StaticInfo info = image.lookup(pc);
+                const BitCode cn = computeBitCode(
+                    info.cls, pc, info.target, line_size, true);
+                a.codesNear.push_back(cn);
+                a.codesPlain.push_back(
+                    bitCodeIsCond(cn) ? BitCode::CondLong : cn);
+            }
         }
 
         a.startPc.push_back(start);
@@ -154,8 +172,9 @@ DecodedTrace::build(const InMemoryTrace &trace,
         a.nearConds.push_back(static_cast<uint16_t>(near));
         a.rasOp.push_back(static_cast<uint8_t>(ras_op));
         a.windowLen.push_back(static_cast<uint16_t>(capacity));
-        a.codesOffset.push_back(codes_off);
+        a.codesOffset.push_back(at->second);
     }
+    a.shrinkToFit();
     dec.adopt(std::move(arrays));
     return dec;
 }
@@ -163,7 +182,7 @@ DecodedTrace::build(const InMemoryTrace &trace,
 std::size_t
 DecodedTrace::bytes() const
 {
-    return (mapped() ? mappedBytes_ : ownedBytes_) + image_.bytes();
+    return mapped() ? mappedBytes_ + image_->bytes() : ownedBytes_;
 }
 
 bool

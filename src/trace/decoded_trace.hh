@@ -7,7 +7,9 @@
  * configuration.
  *
  * A DecodedTrace holds
- *  - the flat dynamic instruction array (a self-contained copy),
+ *  - the flat dynamic instruction array, shared with the source
+ *    InMemoryTrace rather than copied (the artifact keeps it alive,
+ *    and appending to the trace copies the trace's array instead),
  *  - a structure-of-arrays block index, exactly the segmentation
  *    BlockStream produces: per block the start/next PC, the borrowed
  *    instruction span, the exit index, the conditional-outcome
@@ -15,8 +17,11 @@
  *    per-category branch counts the statistics need,
  *  - the per-instruction BIT window codes of every block window (both
  *    the 3-bit near-block encoding and the 2-bit long form), laid out
- *    in one arena, and
- *  - the frozen (sorted flat array) StaticImage.
+ *    in one arena. A window is a pure function of its start address,
+ *    so it is built once per distinct start PC and every block with
+ *    that start points at the same slice, and
+ *  - the frozen (sorted flat array) StaticImage, built once per trace
+ *    and shared by every geometry cut from it.
  *
  * Everything here is a pure function of (trace, geometry): engines
  * that differ in history bits, select tables, target arrays, BIT
@@ -27,7 +32,7 @@
  * Storage is column-oriented and *borrowable*: the accessors read
  * through spans whose backing memory is either heap vectors (the
  * build() path) or a read-only file mapping (the artifact-file path,
- * trace/artifact_file.hh). One shared_ptr keeps whichever backing
+ * trace/artifact_file.hh). Shared pointers keep whichever backing
  * store alive, so a mapped artifact replays zero-copy straight out
  * of the page cache.
  */
@@ -85,9 +90,10 @@ class DecodedTrace
     DecodedTrace() = default;
 
     /**
-     * Decode @p trace for @p geom. The artifact is self-contained
-     * (the instruction stream is copied), so it may outlive the
-     * source trace.
+     * Decode @p trace for @p geom. The artifact shares the trace's
+     * instruction array and StaticImage instead of copying them, and
+     * holds its own references to both, so it may outlive the source
+     * trace and never sees a later append() to it.
      */
     static DecodedTrace build(const InMemoryTrace &trace,
                               const ICacheConfig &geom);
@@ -102,13 +108,15 @@ class DecodedTrace
     bool geometryCompatible(const ICacheConfig &other) const;
 
     const ColumnRef<DynInst> &insts() const { return insts_; }
-    const StaticImage &image() const { return image_; }
+    const StaticImage &image() const { return *image_; }
 
     /**
-     * Approximate footprint a cache budget charges. Heap-backed
-     * artifacts report their vector bytes; mapped artifacts report
-     * the mapped file size (shared, evictable pages -- but they
-     * occupy address space and, when hot, page-cache memory).
+     * Footprint a cache budget charges. A built artifact reports the
+     * bytes of its own columns, each sized exactly; the instruction
+     * array and the StaticImage belong to the source trace and are
+     * not charged here. A mapped artifact reports the mapped file
+     * size (shared, evictable pages -- but they occupy address space
+     * and, when hot, page-cache memory) plus its own image.
      */
     std::size_t bytes() const;
 
@@ -172,7 +180,6 @@ class DecodedTrace
     /** Owned column storage, the build() path's backing store. */
     struct Arrays
     {
-        std::vector<DynInst> insts;
         std::vector<Addr> startPc;
         std::vector<Addr> nextPc;
         std::vector<uint32_t> firstInst;    //!< offset into insts
@@ -187,12 +194,14 @@ class DecodedTrace
         std::vector<uint16_t> windowLen;
         std::vector<uint32_t> codesOffset;  //!< offset into the arenas
 
-        // Window-code arenas, indexed by codesOffset; both encodings
-        // are materialized so no per-block translation happens at
-        // replay.
+        // Window-code arenas, indexed by codesOffset, one window per
+        // distinct start PC; both encodings are materialized so no
+        // per-block translation happens at replay.
         std::vector<BitCode> codesNear;
         std::vector<BitCode> codesPlain;
 
+        /** Drop every column's growth slack. */
+        void shrinkToFit();
         std::size_t bytes() const;
     };
 
@@ -200,10 +209,13 @@ class DecodedTrace
     void adopt(std::shared_ptr<const Arrays> arrays);
 
     ICacheConfig geom_;
-    StaticImage image_;
+    std::shared_ptr<const StaticImage> image_ =
+        std::make_shared<const StaticImage>();
 
     /** Keeps the span backing alive: Arrays or a file mapping. */
     std::shared_ptr<const void> storage_;
+    /** Keeps a built artifact's borrowed instruction array alive. */
+    std::shared_ptr<const std::vector<DynInst>> stream_;
     std::size_t ownedBytes_ = 0;    //!< heap column bytes (build path)
     std::size_t mappedBytes_ = 0;   //!< file size (artifact path)
 

@@ -1,22 +1,55 @@
 #include "trace/trace.hh"
 
+#include <atomic>
+
+#include "trace/static_image.hh"
 #include "util/stats.hh"
 
 namespace mbbp
 {
 
 InMemoryTrace::InMemoryTrace(std::vector<DynInst> insts)
-    : insts_(std::move(insts))
 {
+    data_->insts = std::move(insts);
 }
 
 bool
 InMemoryTrace::next(DynInst &inst)
 {
-    if (pos_ >= insts_.size())
+    if (pos_ >= data_->insts.size())
         return false;
-    inst = insts_[pos_++];
+    inst = data_->insts[pos_++];
     return true;
+}
+
+void
+InMemoryTrace::append(const DynInst &inst)
+{
+    // Copy on write: a storage someone else holds stays as it is, and
+    // a memoized image would no longer describe the grown stream.
+    const bool sole = data_.use_count() == 1;
+    if (sole) {
+        // Order this thread's writes after the reads of any holder
+        // whose release brought the count down to one.
+        std::atomic_thread_fence(std::memory_order_acquire);
+    }
+    if (!sole || data_->image) {
+        auto fresh = std::make_shared<Storage>();
+        fresh->insts = sole ? std::move(data_->insts) : data_->insts;
+        data_ = std::move(fresh);
+    }
+    data_->insts.push_back(inst);
+}
+
+std::shared_ptr<const StaticImage>
+InMemoryTrace::image() const
+{
+    Storage &s = *data_;
+    std::call_once(s.imageOnce, [&] {
+        s.image = std::make_shared<const StaticImage>(
+            StaticImage::fromTrace(*this));
+    });
+    return s.image;
 }
 
 void
@@ -43,8 +76,8 @@ InMemoryTrace::Summary
 InMemoryTrace::summarize() const
 {
     Summary s;
-    s.instructions = insts_.size();
-    for (const auto &inst : insts_) {
+    s.instructions = size();
+    for (const auto &inst : insts()) {
         if (isCondBranch(inst.cls)) {
             ++s.condBranches;
             if (inst.taken)
@@ -65,11 +98,11 @@ InMemoryTrace::summarize() const
 InMemoryTrace
 captureTrace(TraceSource &src, std::size_t limit)
 {
-    InMemoryTrace out;
+    std::vector<DynInst> insts;
     DynInst inst;
-    while ((limit == 0 || out.size() < limit) && src.next(inst))
-        out.append(inst);
-    return out;
+    while ((limit == 0 || insts.size() < limit) && src.next(inst))
+        insts.push_back(inst);
+    return InMemoryTrace(std::move(insts));
 }
 
 } // namespace mbbp

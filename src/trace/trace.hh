@@ -10,6 +10,8 @@
 #define MBBP_TRACE_TRACE_HH
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "isa/inst.hh"
@@ -35,21 +37,51 @@ class TraceSource
     virtual void reset() = 0;
 };
 
-/** A trace held entirely in memory; replayable. */
+class StaticImage;
+
+/**
+ * A trace held entirely in memory; replayable.
+ *
+ * The instructions live in shared immutable storage: copying a trace,
+ * and every DecodedTrace cut from it, shares one array instead of
+ * duplicating it. append() clones the storage first if anything else
+ * still shares it, so a holder never sees the stream change under it.
+ */
 class InMemoryTrace : public TraceSource
 {
   public:
     InMemoryTrace() = default;
     explicit InMemoryTrace(std::vector<DynInst> insts);
 
+    // Copies share the storage. No move operations are declared, so a
+    // moved-from trace keeps its contents rather than losing its storage.
+    InMemoryTrace(const InMemoryTrace &) = default;
+    InMemoryTrace &operator=(const InMemoryTrace &) = default;
+
     bool next(DynInst &inst) override;
     void reset() override;
 
-    void append(const DynInst &inst) { insts_.push_back(inst); }
-    std::size_t size() const { return insts_.size(); }
-    bool empty() const { return insts_.empty(); }
-    const DynInst &at(std::size_t i) const { return insts_.at(i); }
-    const std::vector<DynInst> &insts() const { return insts_; }
+    void append(const DynInst &inst);
+    std::size_t size() const { return data_->insts.size(); }
+    bool empty() const { return data_->insts.empty(); }
+    const DynInst &at(std::size_t i) const { return data_->insts.at(i); }
+    const std::vector<DynInst> &insts() const { return data_->insts; }
+
+    /**
+     * Shared ownership of the instruction array as it is now. It stays
+     * valid and unchanged whatever is appended to this trace later.
+     */
+    std::shared_ptr<const std::vector<DynInst>> sharedInsts() const
+    {
+        return { data_, &data_->insts };
+    }
+
+    /**
+     * The frozen StaticImage of the instructions as they are now,
+     * built on the first call and shared by every later caller until
+     * the next append(). Safe to call from several threads at once.
+     */
+    std::shared_ptr<const StaticImage> image() const;
 
     /** Basic stream statistics, used by tests and workload tuning. */
     struct Summary
@@ -71,7 +103,15 @@ class InMemoryTrace : public TraceSource
     Summary summarize() const;
 
   private:
-    std::vector<DynInst> insts_;
+    /** The shared part: the stream and its memoized image. */
+    struct Storage
+    {
+        std::vector<DynInst> insts;
+        std::once_flag imageOnce;
+        std::shared_ptr<const StaticImage> image;
+    };
+
+    std::shared_ptr<Storage> data_ = std::make_shared<Storage>();
     std::size_t pos_ = 0;
 };
 
@@ -82,13 +122,14 @@ class InMemoryTrace : public TraceSource
  * mutating operation -- unusable when many simulations share one
  * cached trace across threads. A TraceCursor keeps the position in
  * the reader instead, so any number of cursors can walk the same
- * trace concurrently with no synchronization.
+ * trace concurrently with no synchronization. It replays the trace
+ * as it was when the cursor was made.
  */
 class TraceCursor : public TraceSource
 {
   public:
     explicit TraceCursor(const InMemoryTrace &trace)
-        : insts_(&trace.insts())
+        : insts_(trace.sharedInsts())
     {
     }
 
@@ -103,7 +144,7 @@ class TraceCursor : public TraceSource
     void reset() override { pos_ = 0; }
 
   private:
-    const std::vector<DynInst> *insts_;
+    std::shared_ptr<const std::vector<DynInst>> insts_;
     std::size_t pos_ = 0;
 };
 

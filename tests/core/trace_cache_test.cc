@@ -5,6 +5,7 @@
  * gauge.
  */
 
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -48,11 +49,14 @@ TEST(TraceCacheBudget, UnboundedCacheKeepsEverything)
 TEST(TraceCacheBudget, EvictsLeastRecentlyUsedArtifact)
 {
     ICacheConfig geom = ICacheConfig::normal(8);
-    std::size_t one = oneArtifactBytes("gcc", geom);
-    ASSERT_GT(one, 0u);
+    std::size_t gccB = oneArtifactBytes("gcc", geom);
+    std::size_t swimB = oneArtifactBytes("swim", geom);
+    std::size_t liB = oneArtifactBytes("li", geom);
+    ASSERT_GT(gccB, 0u);
 
-    // Room for roughly two same-shape artifacts, not three.
-    TraceCache traces(kInsts, 2 * one + one / 2);
+    // Room for gcc beside either other artifact, not for all three:
+    // li overflows it, and evicting swim alone restores the bound.
+    TraceCache traces(kInsts, gccB + std::max(swimB, liB));
     auto a = traces.decoded("gcc", geom);
     auto b = traces.decoded("swim", geom);
     (void)traces.decoded("gcc", geom);      // refresh a: b is now LRU
@@ -223,8 +227,13 @@ TEST(SharedDecodedBudget, GaugeCarriesTheCrossCacheTotal)
     obs::setEnabled(true);
 
     ICacheConfig geom = ICacheConfig::normal(8);
-    std::size_t one = oneArtifactBytes("gcc", geom);
-    auto budget = std::make_shared<DecodedBudget>(2 * one + one / 2);
+    std::size_t gccB = oneArtifactBytes("gcc", geom);
+    std::size_t swimB = oneArtifactBytes("swim", geom);
+    std::size_t liB = oneArtifactBytes("li", geom);
+    // Room for swim beside either other artifact, not for all three:
+    // li overflows it, and evicting gcc alone restores the bound.
+    auto budget =
+        std::make_shared<DecodedBudget>(swimB + std::max(gccB, liB));
     TraceCache a(kInsts, budget);
     TraceCache b(kInsts, budget);
 
@@ -234,6 +243,7 @@ TEST(SharedDecodedBudget, GaugeCarriesTheCrossCacheTotal)
               budget->residentBytes());
 
     (void)b.decoded("li", geom);    // cross-cache eviction
+    EXPECT_EQ(budget->evictions(), 1u);
     EXPECT_EQ(obs::gauge("trace.cache.resident_bytes").value(),
               budget->residentBytes());
     EXPECT_LE(obs::gauge("trace.cache.resident_bytes").value(),

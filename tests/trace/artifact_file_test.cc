@@ -13,10 +13,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/fetch_simulator.hh"
 #include "temp_path.hh"
 #include "trace/artifact_file.hh"
 #include "trace/decoded_trace.hh"
@@ -225,6 +227,54 @@ TEST_F(ArtifactFileTest, ConcurrentSavesOfOneKeyAllSucceed)
          std::filesystem::directory_iterator(target.parent_path()))
         EXPECT_NE(entry.path().filename().string().rfind(tmp_prefix, 0),
                   0u) << "left behind: " << entry.path();
+}
+
+TEST_F(ArtifactFileTest, ReplacedFileLeavesLoadedArtifactIntact)
+{
+    // The loader's contract: writers replace a file by atomic rename,
+    // so a mapping taken before the replacement keeps the old inode.
+    // Replace the file with a different program's artifact and check
+    // that both the old mapping and the new file replay correctly.
+    ASSERT_TRUE(saveDecodedArtifact(path_, key_, dec_));
+    std::shared_ptr<const DecodedTrace> before =
+        loadDecodedArtifact(path_, key_, geom_);
+    ASSERT_NE(before, nullptr);
+    SimConfig cfg;
+    cfg.engine.icache = geom_;
+    const FetchStats stats = FetchSimulator(cfg).run(dec_);
+
+    const InMemoryTrace swim = specTrace("swim", 20000);
+    const DecodedTrace swim_dec = DecodedTrace::build(swim, geom_);
+    const ArtifactKey swim_key = ArtifactKey::of("swim", 20000, geom_);
+    ASSERT_TRUE(saveDecodedArtifact(path_, swim_key, swim_dec));
+
+    expectReplayIdentical(dec_, *before);
+    EXPECT_EQ(FetchSimulator(cfg).run(*before), stats);
+
+    EXPECT_EQ(loadDecodedArtifact(path_, key_, geom_), nullptr);
+    std::shared_ptr<const DecodedTrace> after =
+        loadDecodedArtifact(path_, swim_key, geom_);
+    ASSERT_NE(after, nullptr);
+    expectReplayIdentical(swim_dec, *after);
+    EXPECT_EQ(FetchSimulator(cfg).run(*after),
+              FetchSimulator(cfg).run(swim_dec));
+
+    // The file carries the deduplicated arenas: blocks that start at
+    // one PC share one window.
+    std::map<Addr, std::size_t> first_at;
+    std::size_t shared = 0;
+    for (std::size_t i = 0; i < after->numBlocks(); ++i) {
+        const auto [it, fresh] =
+            first_at.try_emplace(after->startPc(i), i);
+        if (fresh)
+            continue;
+        ++shared;
+        EXPECT_EQ(after->windowCodes(i, true),
+                  after->windowCodes(it->second, true));
+        EXPECT_EQ(after->windowCodes(i, false),
+                  after->windowCodes(it->second, false));
+    }
+    EXPECT_GT(shared, 0u);
 }
 
 TEST(ArtifactStoreTest, StoreRoundTripAndCounters)

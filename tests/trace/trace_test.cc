@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/static_image.hh"
+
 namespace mbbp
 {
 namespace
@@ -51,6 +53,32 @@ TEST(InMemoryTrace, AppendGrows)
     EXPECT_TRUE(t.empty());
     t.append({ 1, InstClass::NonBranch, false, 0 });
     EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(InMemoryTrace, CopiesShareUntilAppend)
+{
+    InMemoryTrace t(sampleInsts());
+    const InMemoryTrace copy = t;
+    EXPECT_EQ(copy.insts().data(), t.insts().data());
+
+    t.append({ 0x60, InstClass::NonBranch, false, 0 });
+    EXPECT_EQ(t.size(), sampleInsts().size() + 1);
+    EXPECT_EQ(copy.size(), sampleInsts().size());
+    EXPECT_EQ(copy.insts(), sampleInsts());
+}
+
+TEST(InMemoryTrace, AppendRefreshesTheImage)
+{
+    InMemoryTrace t(sampleInsts());
+    const std::shared_ptr<const StaticImage> before = t.image();
+    EXPECT_EQ(t.image().get(), before.get());   // built once
+    EXPECT_EQ(before->lookup(0x60).cls, InstClass::NonBranch);
+
+    t.append({ 0x60, InstClass::Jump, true, 0x10 });
+    const std::shared_ptr<const StaticImage> after = t.image();
+    EXPECT_NE(after.get(), before.get());
+    EXPECT_EQ(after->lookup(0x60).cls, InstClass::Jump);
+    EXPECT_EQ(before->lookup(0x60).cls, InstClass::NonBranch);
 }
 
 TEST(InMemoryTrace, SummaryCounts)
