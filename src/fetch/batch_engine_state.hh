@@ -354,8 +354,9 @@ batchCountBlockStats(FetchStats &stats, const BatchBlockCtx &ctx)
  * trueWindowCodes for one whole aligned i-cache line, written into a
  * caller-owned byte buffer (one byte per BitCode). This is the
  * refresh payload a finite BIT installs per touched line
- * (refreshBitEntries); the SoA kernels compute it once per near-flag
- * variant and scatter it into every finite-BIT lane's arena.
+ * (refreshBitEntries); each SoA tile computes it once per line and
+ * near-flag variant (SoaTile::trueLineCodes) and copies it into its
+ * finite-BIT lanes' arenas.
  */
 inline void
 batchTrueLineCodes(const StaticImage &image, Addr line_addr,

@@ -82,7 +82,10 @@ laneSoaFallback(BatchEngineKind kind, const FetchEngineConfig &cfg)
         return SoaFallback::TargetGeometry;
     if (cfg.rasEntries == 0)
         return SoaFallback::NoRas;
-    if (!isPowerOf2(cfg.icache.blockWidth))
+    // PHT rows index by blockWidth - 1 and the kernels split PCs
+    // into line and position with a shift and a mask.
+    if (!isPowerOf2(cfg.icache.blockWidth) ||
+        !isPowerOf2(cfg.icache.lineSize))
         return SoaFallback::BlockWidth;
     // The arena direct-maps lines with bitEntries - 1 as the mask.
     if (cfg.bitEntries != 0 && !isPowerOf2(cfg.bitEntries))
@@ -115,7 +118,11 @@ SoaTile::build(BatchEngineKind k, unsigned num_blocks,
     numBlocks = kind == BatchEngineKind::Multi ? num_blocks
         : kind == BatchEngineKind::Dual        ? 2
                                                : 1;
+    mbbp_assert(isPowerOf2(line_size),
+                "SoA tiles need a power-of-two line size");
     lineSize = line_size;
+    lineShift = static_cast<unsigned>(floorLog2(line_size));
+    lineMask = line_size - 1;
     blockWidth = cs[0]->icache.blockWidth;
     shift = static_cast<unsigned>(floorLog2(blockWidth));
     numBanks = cs[0]->icache.numBanks;
@@ -279,8 +286,10 @@ SoaTile::build(BatchEngineKind k, unsigned num_blocks,
     // BIT arenas are scalar-accessed (bitMask lanes only), so no
     // pad-lane scratch is needed. All-lines-NonBranch start state.
     bit.assign(bit_words, 0);
-    bitLineNear.assign(lineSize, 0);
-    bitLinePlain.assign(lineSize, 0);
+    bitTag.assign(bit_words >> lineShift, 0);
+    lineCodes.clear();
+    lineKeys.assign(bitMask ? 64 : 0, 0);
+    lineRows.assign(lineKeys.size(), 0);
 
     stagedHead = stagedCount = 0;
     for (StagedBatch &b : staged) {
@@ -290,6 +299,40 @@ SoaTile::build(BatchEngineKind k, unsigned num_blocks,
             blk.conds.clear();
         }
     }
+}
+
+const uint8_t *
+SoaTile::fillLineCodes(const StaticImage &image, Addr line,
+                       std::size_t slot)
+{
+    const std::size_t rows_filled = lineCodes.size() >> (lineShift + 1);
+    if (2 * (rows_filled + 1) > lineKeys.size()) {
+        std::vector<Addr> keys(2 * lineKeys.size(), 0);
+        std::vector<uint32_t> rows(keys.size(), 0);
+        keys.swap(lineKeys);
+        rows.swap(lineRows);
+        const std::size_t slot_mask = lineKeys.size() - 1;
+        for (std::size_t j = 0; j < keys.size(); ++j) {
+            if (keys[j] == 0)
+                continue;
+            std::size_t i = lineSlot(keys[j] - 1);
+            while (lineKeys[i] != 0)
+                i = (i + 1) & slot_mask;
+            lineKeys[i] = keys[j];
+            lineRows[i] = rows[j];
+        }
+        slot = lineSlot(line);
+        while (lineKeys[slot] != 0)
+            slot = (slot + 1) & slot_mask;
+    }
+    lineKeys[slot] = line + 1;
+    lineRows[slot] = static_cast<uint32_t>(rows_filled);
+    lineCodes.resize((rows_filled + 1) << (lineShift + 1));
+    uint8_t *codes =
+        lineCodes.data() + (rows_filled << (lineShift + 1));
+    batchTrueLineCodes(image, line, lineSize, true, codes);
+    batchTrueLineCodes(image, line, lineSize, false, codes + lineSize);
+    return codes;
 }
 
 std::vector<FetchStats>

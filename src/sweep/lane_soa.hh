@@ -180,6 +180,8 @@ struct SoaTile
     uint64_t allMask = 0;       //!< low n bits set
     unsigned numBlocks = 1;     //!< group size (Multi), else 1/2
     unsigned lineSize = 0;
+    unsigned lineShift = 0;     //!< floorLog2(lineSize)
+    uint64_t lineMask = 0;      //!< lineSize - 1
     unsigned blockWidth = 0;
     unsigned shift = 0;         //!< floorLog2(blockWidth)
     unsigned numBanks = 1;      //!< i-cache banks (dual conflicts)
@@ -234,8 +236,37 @@ struct SoaTile
     std::vector<uint8_t> bit;
     std::vector<uint64_t> bitBase;      //!< byte offset per lane
     std::vector<uint64_t> bitEntMask;   //!< bitEntries - 1
-    std::vector<uint8_t> bitLineNear;   //!< true-code scratch, 1 line
-    std::vector<uint8_t> bitLinePlain;
+    /** Per arena line: line + 1 of the line whose true codes it
+     *  holds, 0 while it holds none (the all-NonBranch start). Lane
+     *  l's tags start at bitBase[l] >> lineShift. */
+    std::vector<Addr> bitTag;
+
+    // --- True BIT line codes, the refresh payload of every finite
+    // lane. A line's codes depend on the line alone, so each is
+    // decoded from the trace's StaticImage once, the first time a
+    // block touches it: one row of lineSize near codes followed by
+    // lineSize plain codes per distinct line. An open-addressed
+    // line -> row index keeps the memory proportional to the lines
+    // touched, not to the address range they span.
+    std::vector<uint8_t> lineCodes;     //!< rows, 2 * lineSize bytes
+    std::vector<Addr> lineKeys;         //!< hash slots: line + 1, 0 empty
+    std::vector<uint32_t> lineRows;     //!< row of each used slot
+
+    /** Row of @p line's true codes (near, then plain), decoded from
+     *  @p image on first touch. The pointer stays valid until the
+     *  next call. */
+    const uint8_t *
+    trueLineCodes(const StaticImage &image, Addr line)
+    {
+        const std::size_t slot_mask = lineKeys.size() - 1;
+        for (std::size_t i = lineSlot(line);; i = (i + 1) & slot_mask) {
+            if (lineKeys[i] == line + 1)
+                return lineCodes.data() +
+                    (std::size_t{ lineRows[i] } << (lineShift + 1));
+            if (lineKeys[i] == 0)
+                return fillLineCodes(image, line, i);
+        }
+    }
 
     // --- Delayed PHT training: mirrors PhtTrainer's two-deep
     // request pipeline. Each request's tick() opens a batch and
@@ -310,6 +341,7 @@ struct SoaTile
         std::vector<uint64_t> nnt;      //!< not-taken count (sat 255)
         std::vector<uint64_t> tgt;      //!< near-block static target
         uint64_t found = 0;             //!< lanes with a found exit
+        uint64_t foundCond = 0;         //!< ... at a conditional
     };
     Scan scanB, scanC;
     std::vector<uint64_t> idx1, idx2;   //!< PHT indexes
@@ -329,6 +361,20 @@ struct SoaTile
     /** Fold uniform accounting into each lane's FetchStats and
      *  replay the reference per-lane obs flush sequence. */
     std::vector<FetchStats> finish();
+
+  private:
+    /** Fibonacci-hashed home slot of @p line in lineKeys. */
+    std::size_t lineSlot(Addr line) const
+    {
+        return static_cast<std::size_t>(
+                   (line * 0x9e3779b97f4a7c15ULL) >> 32) &
+            (lineKeys.size() - 1);
+    }
+
+    /** trueLineCodes' first touch of @p line: decode its row into
+     *  empty @p slot, growing the index past half load. */
+    const uint8_t *fillLineCodes(const StaticImage &image, Addr line,
+                                 std::size_t slot);
 };
 
 /**
@@ -343,7 +389,8 @@ enum class SoaFallback : uint8_t
     BtbTarget,          //!< BTB target array instead of NLS
     TargetGeometry,     //!< targetEntries zero or not a power of two
     NoRas,              //!< rasEntries == 0
-    BlockWidth,         //!< blockWidth not a power of two
+    BlockWidth,         //!< blockWidth or lineSize not a power
+                        //!< of two
     SelectGeometry,     //!< numPhts > 1 or non-pow2 numSelectTables
                         //!< on a select-table kind
     DoubleSelect,       //!< doubleSelect on a kind that forbids it

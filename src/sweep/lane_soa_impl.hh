@@ -187,6 +187,7 @@ scanBlock(SoaTile &t, const BatchBlockCtx &ctx,
     std::fill_n(s.nnt.data(), pad_n, 0);
     std::fill_n(s.tgt.data(), pad_n, 0);
     s.found = 0;
+    s.foundCond = 0;
 
     uint64_t active = t.allMask;
     const uint64_t bw = t.blockWidth;
@@ -203,7 +204,7 @@ scanBlock(SoaTile &t, const BatchBlockCtx &ctx,
                 cn == BitCode::Return
                     ? static_cast<uint64_t>(SelSrc::Ras)
                     : static_cast<uint64_t>(SelSrc::Target);
-            const uint64_t pos_byte = wb.pc % t.lineSize;
+            const uint64_t pos_byte = wb.pc & t.lineMask;
             for (uint64_t m = active; m; m &= m - 1) {
                 const unsigned l = static_cast<unsigned>(
                     std::countr_zero(m));
@@ -244,7 +245,7 @@ scanBlock(SoaTile &t, const BatchBlockCtx &ctx,
             const uint64_t src_near = nearCondSrc(cn);
             const uint64_t src_plain =
                 static_cast<uint64_t>(SelSrc::Target);
-            const uint64_t pos_byte = wb.pc % t.lineSize;
+            const uint64_t pos_byte = wb.pc & t.lineMask;
             for (uint64_t m = found_now; m; m &= m - 1) {
                 const unsigned l = static_cast<unsigned>(
                     std::countr_zero(m));
@@ -255,6 +256,7 @@ scanBlock(SoaTile &t, const BatchBlockCtx &ctx,
                 s.tgt[l] = wb.staticTarget;
             }
             s.found |= found_now;
+            s.foundCond |= found_now;
         }
         active = not_taken;
         if (!active)
@@ -356,7 +358,8 @@ resolveAndCharge(SoaTile &t, const BatchBlockCtx &ctx,
 
     // NLS probe for every lane at once (the probe is stat-free, so
     // over-gathering for non-Target lanes is unobservable).
-    const uint64_t line_idx = index_addr / t.lineSize;
+    const unsigned sh = t.lineShift;
+    const uint64_t line_idx = index_addr >> sh;
     const uint64_t arrays = t.nlsArrays;
     const uint64_t *nbase = t.nlsBase.data();
     const uint64_t *nmask = t.nlsIdxMask.data();
@@ -364,7 +367,7 @@ resolveAndCharge(SoaTile &t, const BatchBlockCtx &ctx,
     uint64_t *gval = t.gatherVal.data();
     for (std::size_t l = 0; l < pad_n; ++l)
         goff[l] = nbase[l] +
-            ((line_idx & nmask[l]) * arrays + which) * t.lineSize +
+            (((line_idx & nmask[l]) * arrays + which) << sh) +
             s.posByte[l];
     gatherWords(t.nls.data(), goff, gval, pad_n);
 
@@ -408,9 +411,16 @@ resolveAndCharge(SoaTile &t, const BatchBlockCtx &ctx,
  * over each lane's own (possibly aliased) BIT arena lines, charge
  * the one-cycle penalty when the stale selector disagrees with the
  * true-code scan in @p s, then refresh every touched line with true
- * codes. The stale walk is scalar per lane -- it is data-dependent
- * and short -- but the refresh payload is computed once per
- * near-flag variant and scattered into every finite lane's arena.
+ * codes.
+ *
+ * A lane whose arena already holds the true codes of every line the
+ * window touches (its tags say so) skips both: the stale scan would
+ * replay scanBlock's walk over the same codes and counters, so it
+ * finds the same exit, charges nothing and counts the same PHT
+ * lookups, and the refresh would rewrite identical bytes. The other
+ * lanes run the scalar stale walk -- it is data-dependent and short
+ * -- and take their refresh payload from the tile's per-line table
+ * of true codes.
  */
 void
 bitStage(SoaTile &t, const BatchBlockCtx &ctx,
@@ -419,20 +429,38 @@ bitStage(SoaTile &t, const BatchBlockCtx &ctx,
 {
     if (!t.bitMask)
         return;
-    const uint64_t ls = t.lineSize;
+    const unsigned sh = t.lineShift;
+    const uint64_t lm = t.lineMask;
     const uint64_t bw = t.blockWidth;
     const unsigned cap = ctx.capacity;
     const Addr start = ctx.blk.startPc;
-    // BitTable::lookup probes once per window instruction.
+    const Addr first = start >> sh;
+    const Addr last = (start + (cap ? cap - 1 : 0)) >> sh;
+    // BitTable::lookup probes once per window instruction, and
+    // refreshBitEntries updates every touched line.
     t.uBitProbes += cap;
+    t.uBitUpdates += last - first + 1;
 
     const unsigned bit_cycles = t.pcycles[static_cast<unsigned>(
         PenaltyKind::BitMispredict)][0];
     const uint8_t *pht = t.pht.data();
+    uint64_t stale_m = 0;
     for (uint64_t m = t.bitMask; m; m &= m - 1) {
         const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-        const uint8_t *arena = t.bit.data() + t.bitBase[l];
         const uint64_t ent_mask = t.bitEntMask[l];
+        const Addr *tag = t.bitTag.data() + (t.bitBase[l] >> sh);
+        // numNotTaken saturates at 255, so only a shorter count
+        // recovers the lane's lookup total.
+        bool current = s.nnt[l] < 255;
+        for (Addr line = first; current && line <= last; ++line)
+            current = tag[line & ent_mask] == line + 1;
+        if (current) {
+            t.phtLookups[l] += s.nnt[l] + ((s.foundCond >> l) & 1);
+            continue;
+        }
+        stale_m |= uint64_t{ 1 } << l;
+
+        const uint8_t *arena = t.bit.data() + t.bitBase[l];
         const uint64_t pht_off = t.phtBase[l] + idx[l] * bw;
         // predictExit over the stale codes: selector-relevant fields
         // only (src + line position; numNotTaken never reaches the
@@ -441,7 +469,7 @@ bitStage(SoaTile &t, const BatchBlockCtx &ctx,
         for (unsigned i = 0; i < cap; ++i) {
             const Addr pc = start + i;
             const BitCode code = static_cast<BitCode>(
-                arena[((pc / ls) & ent_mask) * ls + pc % ls]);
+                arena[(((pc >> sh) & ent_mask) << sh) | (pc & lm)]);
             if (code == BitCode::NonBranch)
                 continue;
             if (code == BitCode::Return) {
@@ -456,36 +484,29 @@ bitStage(SoaTile &t, const BatchBlockCtx &ctx,
                     continue;
                 src = nearCondSrc(code);
             }
-            pos = pc % ls;
+            pos = pc & lm;
             break;
         }
         if (src != s.src[l] || pos != s.posByte[l])
             chargeLane(t, l, start, 0, PenaltyKind::BitMispredict,
                        bit_cycles);
     }
+    if (!stale_m)
+        return;
 
     // refreshBitEntries: every touched line learns its true codes.
-    const Addr first = start / ls;
-    const Addr last = (start + (cap ? cap - 1 : 0)) / ls;
-    t.uBitUpdates += last - first + 1;
-    const bool want_near = (t.bitMask & t.nearMask) != 0;
-    const bool want_plain = (t.bitMask & ~t.nearMask) != 0;
+    const std::size_t ls = t.lineSize;
     for (Addr line = first; line <= last; ++line) {
-        if (want_near)
-            batchTrueLineCodes(image, line, t.lineSize, true,
-                               t.bitLineNear.data());
-        if (want_plain)
-            batchTrueLineCodes(image, line, t.lineSize, false,
-                               t.bitLinePlain.data());
-        for (uint64_t m = t.bitMask; m; m &= m - 1) {
+        const uint8_t *row = t.trueLineCodes(image, line);
+        for (uint64_t m = stale_m; m; m &= m - 1) {
             const unsigned l = static_cast<unsigned>(
                 std::countr_zero(m));
-            const uint8_t *codes = (t.nearMask >> l) & 1
-                ? t.bitLineNear.data()
-                : t.bitLinePlain.data();
-            std::memcpy(t.bit.data() + t.bitBase[l] +
-                            (line & t.bitEntMask[l]) * ls,
+            const uint64_t ent = line & t.bitEntMask[l];
+            const uint8_t *codes =
+                (t.nearMask >> l) & 1 ? row : row + ls;
+            std::memcpy(t.bit.data() + t.bitBase[l] + (ent << sh),
                         codes, ls);
+            t.bitTag[(t.bitBase[l] >> sh) + ent] = line + 1;
         }
     }
 }
@@ -644,16 +665,16 @@ nlsUpdate(SoaTile &t, const BatchBlockCtx &ctx, Addr index_addr,
         m &= ~t.nearMask;
     if (!m)
         return;
-    const uint64_t line_idx = index_addr / t.lineSize;
-    const uint64_t pos = ctx.exitPc % t.lineSize;
+    const unsigned sh = t.lineShift;
+    const uint64_t line_idx = index_addr >> sh;
+    const uint64_t pos = ctx.exitPc & t.lineMask;
     const uint64_t arrays = t.nlsArrays;
     uint64_t *nls = t.nls.data();
     const uint64_t *nbase = t.nlsBase.data();
     const uint64_t *nmask = t.nlsIdxMask.data();
     for (; m; m &= m - 1) {
         const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-        nls[nbase[l] +
-            ((line_idx & nmask[l]) * arrays + which) * t.lineSize +
+        nls[nbase[l] + (((line_idx & nmask[l]) * arrays + which) << sh) +
             pos] = ctx.exitTarget;
     }
 }
@@ -791,7 +812,7 @@ runDualImpl(SoaTile &t, const DecodedTrace &dec)
                         "block index out of sync");
             conflict_cd = batchBankConflict(ctxC, ctxD, t.numBanks);
             // The reference stores startOffset as uint8_t.
-            d_offset = (ctxD.blk.startPc % t.lineSize) & 0xff;
+            d_offset = (ctxD.blk.startPc & t.lineMask) & 0xff;
         }
 
         ++t.uFetchRequests;
@@ -824,7 +845,7 @@ runDualImpl(SoaTile &t, const DecodedTrace &dec)
             ++t.uSelReadsDS;
             ++t.uSelWritesDS;
             const uint64_t c_off =
-                (ctxC.blk.startPc % t.lineSize) & 0xff;
+                (ctxC.blk.startPc & t.lineMask) & 0xff;
             const unsigned missel0 = t.pcyclesDS[static_cast<
                 unsigned>(PenaltyKind::Misselect)][0];
             const unsigned ghr0 = t.pcyclesDS[static_cast<unsigned>(
@@ -1052,7 +1073,7 @@ runMultiImpl(SoaTile &t, const DecodedTrace &dec)
             ++t.uSelWrites;
             const uint64_t tab_addr = prev.blk.startPc;
             const uint64_t w_offset =
-                (prev.blk.nextPc % t.lineSize) & 0xff;
+                (prev.blk.nextPc & t.lineMask) & 0xff;
             const std::size_t pad_n = t.padN;
             uint64_t *soff = t.stOff.data();
             for (std::size_t l = 0; l < pad_n; ++l)

@@ -8,6 +8,8 @@ namespace mbbp
 void
 StaticImage::add(const DynInst &inst)
 {
+    if (frozen_)
+        thaw();
     StaticInfo &info = map_[inst.pc];
     info.cls = inst.cls;
     if (isDirect(inst.cls)) {
@@ -20,7 +22,6 @@ StaticImage::add(const DynInst &inst)
         // transfer; callers must not rely on it being static.
         info.target = inst.target;
     }
-    frozen_ = false;
 }
 
 StaticImage
@@ -36,6 +37,8 @@ StaticImage::fromTrace(const InMemoryTrace &trace)
 void
 StaticImage::freeze()
 {
+    if (frozen_)
+        return;
     keys_.clear();
     keys_.reserve(map_.size());
     for (const auto &kv : map_)
@@ -45,7 +48,20 @@ StaticImage::freeze()
     infos_.reserve(keys_.size());
     for (Addr pc : keys_)
         infos_.push_back(map_.find(pc)->second);
+    // A frozen lookup() never reads the map.
+    std::unordered_map<Addr, StaticInfo>().swap(map_);
     frozen_ = true;
+}
+
+void
+StaticImage::thaw()
+{
+    map_.reserve(keys_.size());
+    for (std::size_t i = 0; i < keys_.size(); ++i)
+        map_.emplace(keys_[i], infos_[i]);
+    std::vector<Addr>().swap(keys_);
+    std::vector<StaticInfo>().swap(infos_);
+    frozen_ = false;
 }
 
 StaticImage

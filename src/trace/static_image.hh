@@ -11,12 +11,12 @@
  * report NonBranch, which matches what a pre-decoder would emit for
  * data or padding.
  *
- * Two representations share the class: a hash map while the image is
- * being built incrementally with add(), and -- after freeze() -- a
- * sorted flat (keys, infos) pair searched with a branchless binary
- * search. The frozen form is what the replay artifact ships to the
- * engines: lookup() in the fetch inner loop touches two small dense
- * arrays instead of chasing hash buckets.
+ * Two representations share the class, one at a time: a hash map
+ * while the image is being built incrementally with add(), and --
+ * after freeze() -- a sorted flat (keys, infos) pair searched with a
+ * branchless binary search. The frozen form is what the replay
+ * artifact ships to the engines: lookup() in the fetch inner loop
+ * touches two small dense arrays instead of chasing hash buckets.
  */
 
 #ifndef MBBP_TRACE_STATIC_IMAGE_HH
@@ -51,9 +51,10 @@ class StaticImage
     static StaticImage fromTrace(const InMemoryTrace &trace);
 
     /**
-     * Convert to the sorted flat representation. lookup() afterwards
-     * is a branchless binary search; a subsequent add() falls back to
-     * the map until freeze() is called again.
+     * Convert to the sorted flat representation and release the map.
+     * lookup() afterwards is a branchless binary search; a subsequent
+     * add() rebuilds the map from the flat arrays and uses it until
+     * freeze() is called again.
      */
     void freeze();
 
@@ -70,8 +71,7 @@ class StaticImage
     /**
      * Rebuild a frozen image from parallel (keys, infos) arrays, the
      * inverse of frozenKeys()/frozenInfos(). The artifact-file loader
-     * uses this; both representations are populated so a later add()
-     * still behaves.
+     * uses this; like any frozen image, a later add() still behaves.
      */
     static StaticImage fromFlat(const std::vector<Addr> &keys,
                                 const std::vector<StaticInfo> &infos);
@@ -80,12 +80,18 @@ class StaticImage
     /** Look up a PC; unknown PCs are NonBranch. */
     StaticInfo lookup(Addr pc) const;
 
-    std::size_t size() const { return map_.size(); }
+    std::size_t size() const
+    {
+        return frozen_ ? keys_.size() : map_.size();
+    }
 
-    /** Approximate heap footprint (both representations). */
+    /** Approximate heap footprint. */
     std::size_t bytes() const;
 
   private:
+    /** Back to the map form (add() on a frozen image). */
+    void thaw();
+
     std::unordered_map<Addr, StaticInfo> map_;
     std::vector<Addr> keys_;            //!< sorted PCs (frozen form)
     std::vector<StaticInfo> infos_;     //!< parallel to keys_

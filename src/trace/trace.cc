@@ -1,5 +1,6 @@
 #include "trace/trace.hh"
 
+#include <algorithm>
 #include <atomic>
 
 #include "trace/static_image.hh"
@@ -96,12 +97,17 @@ InMemoryTrace::summarize() const
 }
 
 InMemoryTrace
-captureTrace(TraceSource &src, std::size_t limit)
+captureTrace(TraceSource &src, std::size_t limit, std::size_t expected)
 {
     std::vector<DynInst> insts;
+    insts.reserve(limit == 0 ? expected : std::min(expected, limit));
     DynInst inst;
     while ((limit == 0 || insts.size() < limit) && src.next(inst))
         insts.push_back(inst);
+    // A source that ended short of the reservation, or a stream grown
+    // by doubling, would otherwise keep up to twice its size.
+    if (insts.capacity() != insts.size())
+        insts.shrink_to_fit();
     return InMemoryTrace(std::move(insts));
 }
 

@@ -150,9 +150,15 @@ class TraceCursor : public TraceSource
 
 /**
  * Drain up to @p limit instructions of @p src into an InMemoryTrace
- * (limit 0 = drain everything).
+ * (limit 0 = drain everything). A caller that knows how many
+ * instructions the source will deliver -- a generator run for a fixed
+ * budget -- passes that count as @p expected, and the stream is
+ * allocated once at that size; a trace file's length is unknown, so
+ * its reader passes nothing rather than its limit. Either way the
+ * returned stream holds no spare capacity.
  */
-InMemoryTrace captureTrace(TraceSource &src, std::size_t limit = 0);
+InMemoryTrace captureTrace(TraceSource &src, std::size_t limit = 0,
+                           std::size_t expected = 0);
 
 } // namespace mbbp
 

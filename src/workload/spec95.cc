@@ -308,7 +308,7 @@ specTrace(const std::string &name, std::size_t ninsts)
     WorkloadProfile prof = specProfile(name);
     Program prog = generateProgram(prof);
     Interpreter interp(prog, prof.seed * 0x5851f42dULL + 1);
-    return captureTrace(interp, ninsts);
+    return captureTrace(interp, ninsts, ninsts);
 }
 
 } // namespace mbbp

@@ -515,6 +515,78 @@ TEST_F(BatchReplayTest, BitArenaColumnsExactAcrossSizes)
     }
 }
 
+TEST_F(BatchReplayTest, FiniteBitExactAcrossGeometries)
+{
+    // Finite-BIT lanes against the solo engines on every cache type
+    // at block widths 4, 8 and 16 (line sizes 4 to 32), every group
+    // size, and every dispatch level the host supports. Near and
+    // plain lanes share one tile, so the tile's true-code table
+    // serves both variants; the one-lane-per-tile budget then gives
+    // every lane a table of its own.
+    std::vector<FetchEngineConfig> lanes;
+    for (unsigned i = 0; i <= 10; ++i) {
+        FetchEngineConfig e;
+        e.historyBits = 6 + i % 3;
+        e.bitEntries = 1u << i;             // 1 .. 1024 lines
+        e.nearBlock = i % 2 == 1;
+        e.delayedPhtUpdate = i % 3 == 2;
+        lanes.push_back(e);
+    }
+    BatchTileOptions one_per_tile;
+    one_per_tile.cacheBudgetBytes = 1;
+
+    SimdLevelGuard guard;
+    const simd::Level levels[] = { simd::Level::Scalar,
+                                   simd::Level::Avx2,
+                                   simd::Level::Avx512 };
+    for (ICacheConfig (*make)(unsigned) :
+         { &ICacheConfig::normal, &ICacheConfig::extended,
+           &ICacheConfig::selfAligned }) {
+        for (unsigned bw : { 4u, 8u, 16u }) {
+            const ICacheConfig geom = make(bw);
+            std::vector<FetchEngineConfig> engines = lanes;
+            for (FetchEngineConfig &e : engines)
+                e.icache = geom;
+            DecodedTrace dec = DecodedTrace::build(go_, geom);
+            for (unsigned nb = 1; nb <= 4; ++nb) {
+                const BatchEngineKind kind = nb == 1
+                    ? BatchEngineKind::Single
+                    : nb == 2 ? BatchEngineKind::Dual
+                              : BatchEngineKind::Multi;
+                std::vector<FetchStats> solo;
+                for (const FetchEngineConfig &e : engines) {
+                    if (nb == 1)
+                        solo.push_back(SingleBlockEngine(e).run(dec));
+                    else if (nb == 2)
+                        solo.push_back(DualBlockEngine(e).run(dec));
+                    else
+                        solo.push_back(
+                            MultiBlockEngine(e, nb).run(dec));
+                }
+                for (simd::Level l : levels) {
+                    simd::setLevel(l);
+                    if (simd::activeLevel() != l)
+                        continue;   // host lacks this ISA level
+                    std::vector<FetchStats> shared =
+                        batchReplayKind(kind, engines, nb, dec);
+                    std::vector<FetchStats> own = batchReplayKind(
+                        kind, engines, nb, dec, one_per_tile);
+                    for (std::size_t i = 0; i < engines.size(); ++i) {
+                        EXPECT_EQ(shared[i], solo[i])
+                            << cacheTypeName(geom.type) << " b=" << bw
+                            << " nb=" << nb << " lane " << i << " "
+                            << simd::levelName(l);
+                        EXPECT_EQ(own[i], solo[i])
+                            << cacheTypeName(geom.type) << " b=" << bw
+                            << " nb=" << nb << " lane " << i << " "
+                            << simd::levelName(l) << " own tile";
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST_F(BatchReplayTest, CoverageGaugeAndFallbackCounters)
 {
     // Three columnar lanes plus one finite-icache lane: coverage is

@@ -58,5 +58,53 @@ TEST(StaticImage, RepeatedExecutionIsIdempotent)
     EXPECT_EQ(img.lookup(0x10).target, 0x50u);
 }
 
+TEST(StaticImage, AddAfterFreezeMatchesNeverFrozen)
+{
+    const DynInst first[] = {
+        { 0x10, InstClass::CondBranch, true, 0x50 },
+        { 0x11, InstClass::NonBranch, false, 0 },
+        { 0x12, InstClass::IndirectJump, true, 0x90 },
+    };
+    const DynInst second[] = {
+        { 0x12, InstClass::IndirectJump, true, 0x94 },
+        { 0x13, InstClass::Return, true, 0x20 },
+        { 0x08, InstClass::Call, true, 0x40 },
+    };
+    StaticImage plain, refrozen;
+    for (const DynInst &i : first) {
+        plain.add(i);
+        refrozen.add(i);
+    }
+    refrozen.freeze();
+    EXPECT_EQ(refrozen.size(), 3u);
+    for (const DynInst &i : second) {
+        plain.add(i);
+        refrozen.add(i);
+    }
+    EXPECT_FALSE(refrozen.frozen());
+    refrozen.freeze();
+    ASSERT_TRUE(refrozen.frozen());
+    EXPECT_EQ(refrozen.size(), plain.size());
+    for (Addr pc = 0; pc < 0x20; ++pc) {
+        const StaticInfo a = plain.lookup(pc);
+        const StaticInfo b = refrozen.lookup(pc);
+        EXPECT_EQ(a.cls, b.cls) << pc;
+        EXPECT_EQ(a.target, b.target) << pc;
+        EXPECT_EQ(a.hasStaticTarget, b.hasStaticTarget) << pc;
+    }
+}
+
+TEST(StaticImage, FreezeReleasesTheMap)
+{
+    StaticImage img;
+    for (Addr pc = 0; pc < 64; ++pc)
+        img.add({ pc, InstClass::NonBranch, false, 0 });
+    img.freeze();
+    EXPECT_EQ(img.bytes(),
+              img.frozenKeys().capacity() * sizeof(Addr) +
+                  img.frozenInfos().capacity() * sizeof(StaticInfo));
+    EXPECT_EQ(img.size(), 64u);
+}
+
 } // namespace
 } // namespace mbbp

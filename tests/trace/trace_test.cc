@@ -120,5 +120,21 @@ TEST(CaptureTrace, ZeroLimitDrainsAll)
     EXPECT_EQ(out.size(), src.size());
 }
 
+TEST(CaptureTrace, ShortSourceLeavesNoSlack)
+{
+    InMemoryTrace src(sampleInsts());
+    InMemoryTrace out = captureTrace(src, 0, 1000);
+    EXPECT_EQ(out.size(), src.size());
+    EXPECT_EQ(out.insts().capacity(), out.size());
+}
+
+TEST(CaptureTrace, GrownStreamLeavesNoSlack)
+{
+    InMemoryTrace src(sampleInsts());
+    InMemoryTrace out = captureTrace(src, 1 << 20);
+    EXPECT_EQ(out.size(), src.size());
+    EXPECT_EQ(out.insts().capacity(), out.size());
+}
+
 } // namespace
 } // namespace mbbp

@@ -46,6 +46,13 @@ TEST(Spec95, TraceIsDeterministic)
         ASSERT_EQ(a.at(i), b.at(i));
 }
 
+TEST(Spec95, TraceIsAllocatedExactly)
+{
+    InMemoryTrace t = specTrace("gcc", 5000);
+    EXPECT_EQ(t.size(), 5000u);
+    EXPECT_EQ(t.insts().capacity(), t.size());
+}
+
 TEST(Spec95, ProgramsDiffer)
 {
     InMemoryTrace a = specTrace("go", 2000);
